@@ -29,7 +29,7 @@ const END_TO_END: [(&str, &str, &str); 7] = [
     (
         "setup_s",
         "s",
-        "host CPU s from inputs to ready, median of the segments",
+        "host CPU s from inputs to ready, median of the set-ups",
     ),
     ("peak_rss_mb", "MB", "peak resident set (VmHWM)"),
     (
@@ -63,29 +63,41 @@ const REPORTED: [(&str, &str, &str); 4] = [
 ];
 
 /// Sets the operation figures from per-operation samples, their costs in
-/// reference-kernel units, and the busy time of the closed loop.
+/// reference-kernel units, and the busy time of the closed loop. Tails
+/// are read at the percentile fixed by `min_ops`, the fewest operations
+/// the workload's runs take (see [`stats::tail_percentile`]).
 pub fn summarize_ops(
     out: &mut Outcome,
     ops: &stats::Samples,
     costs: &[f64],
+    min_ops: usize,
     wall_s: f64,
     cpu_s: f64,
 ) {
     let n = ops.len() as f64;
+    let p = stats::tail_percentile(min_ops);
     out.set("op_cost_p50", stats::median(costs));
-    let (v, p, beyond) = stats::tail(costs);
+    let (v, beyond) = stats::tail(costs, p);
     out.set("op_cost_tail", v);
     out.tail = (p, beyond);
     out.set("op_cpu_ms_p50", stats::median(&ops.cpu));
-    out.set("op_cpu_ms_tail", stats::tail(&ops.cpu).0);
+    out.set("op_cpu_ms_tail", stats::tail(&ops.cpu, p).0);
     let refs: Vec<f64> = ops.cpu.iter().zip(costs).map(|(op, c)| op / c).collect();
     out.set("ref_cpu_ms_p50", stats::median(&refs));
     out.set("ops_per_cpu_s", n / cpu_s);
     out.wall = (
         n / wall_s,
         stats::median(&ops.wall),
-        stats::tail(&ops.wall).0,
+        stats::tail(&ops.wall, p).0,
     );
+    let ladder: Vec<String> = [75.0, 90.0, 95.0, 99.0]
+        .iter()
+        .map(|&q| format!("p{q} {:.4}", stats::tail(costs, q).0))
+        .collect();
+    out.context.push(format!(
+        "op_cost by percentile, for context: {} (the gated tail is p{p}, fixed by the workload's minimum of {min_ops} operations)",
+        ladder.join(", ")
+    ));
 }
 
 /// Per-layer metrics: (name, unit). Times are per RK stage unless named
@@ -169,7 +181,7 @@ pub struct Outcome {
     pub context: Vec<String>,
     /// What one operation is on this workload.
     pub op_label: &'static str,
-    /// (percentile, samples beyond) of `op_cpu_ms_tail`.
+    /// (percentile, samples beyond) of the tails.
     pub tail: (f64, usize),
     /// Wall-clock counterparts (ops per s, p50 ms, tail ms), printed for
     /// context only.

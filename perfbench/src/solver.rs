@@ -7,7 +7,7 @@
 //! the live state between steps and times those calls (see `README.md`).
 
 use crate::accel::model_quotes;
-use crate::stats::{median, reference_costs, reference_kernel_cpu_ms, Samples, Stamp};
+use crate::stats::{median, reference_costs, RefReading, Samples, Stamp};
 use crate::trace::Tracer;
 use crate::{summarize_ops, Outcome};
 use fem_accel::designs::proposed_design;
@@ -30,9 +30,18 @@ const WARMUP_STEPS: usize = 2;
 /// Segments per run, each set up from the inputs; `setup_s` is the
 /// median of their set-ups.
 const SEGMENTS: usize = 10;
-/// Fewest steps a window takes, whatever `--seconds` says, so the tail
-/// percentile always has samples beyond it.
-const MIN_STEPS: usize = 30;
+/// Set-ups per segment; the segment steps the last one. Single set-ups
+/// of `tgv-p1-serial` take 11 to 26 ms of CPU time in one run, so the
+/// median needs more of them than there are segments.
+const SETUPS_PER_SEGMENT: usize = 3;
+/// Fewest steps the untraced segments of a run take together, whatever
+/// `--seconds` says. It fixes the tail percentile at p90, the highest
+/// with at least ten steps beyond it; a 30-s run takes about 300 steps
+/// of `tgv-p1-serial` and 900 of `cavity-p3-md2`, so 30 and 90 lie
+/// beyond.
+const MIN_STEPS: usize = 100;
+/// Fewest steps the traced window takes.
+const MIN_TRACED_STEPS: usize = 30;
 /// Profiled steps the Fig 2 buckets are read from (traced run only).
 const PROFILED_STEPS: usize = 20;
 /// Bytes of element workspaces one kernel-stage batch fills: about an
@@ -53,6 +62,19 @@ pub struct SolverSpec {
     select: BackendSelect,
     /// Threads the element assembly runs on.
     assembly_threads: usize,
+}
+
+impl SolverSpec {
+    /// How the reference readings around each step are taken: on the
+    /// calling thread when the step runs on one thread, on each CPU when
+    /// it spreads over more.
+    fn ref_reading(&self) -> RefReading {
+        if self.assembly_threads > 1 {
+            RefReading::EachCpu
+        } else {
+            RefReading::Caller
+        }
+    }
 }
 
 /// The solver workload called `name`, if there is one.
@@ -303,14 +325,14 @@ struct Budget {
 
 /// The closed loop: one caller steps the simulation within `budget`,
 /// timing each step, with diagnostics every [`DIAGNOSTICS_EVERY`] steps
-/// and the reference kernel on `ref_threads` threads around every step.
+/// and a reference reading taken as `reading` says around every step.
 /// With tracing on, steps and diagnostics get spans and each iteration
 /// also runs `probes`.
 fn closed_loop(
     sim: &mut Simulation,
     dt: f64,
     budget: Budget,
-    ref_threads: usize,
+    reading: RefReading,
     tr: &mut Tracer,
     p: &mut Probes,
     mut probes: impl FnMut(&mut Simulation, &mut Tracer, &mut Probes),
@@ -322,7 +344,7 @@ fn closed_loop(
     let mut failed = false;
     let mut refs = Vec::new();
     loop {
-        refs.push(reference_kernel_cpu_ms(ref_threads));
+        refs.push(reading.read());
         let r = probe(tr, "fem_solver.driver", "step", &mut p.step, || {
             sim.step(dt)
         });
@@ -349,7 +371,7 @@ fn closed_loop(
             break;
         }
     }
-    refs.push(reference_kernel_cpu_ms(ref_threads));
+    refs.push(reading.read());
     Window {
         costs: reference_costs(&p.step.cpu, &refs),
         steps: std::mem::take(&mut p.step),
@@ -408,12 +430,18 @@ pub fn run(
     let mut last_segment = None;
     for k in 0..SEGMENTS {
         drop(last_segment.take());
-        let s = tr.begin("perfbench", "setup");
-        let t = Stamp::now();
-        let (ctx, mut sim, parts) = setup(spec, &scenario, tr)?;
-        setup_cpu.push(t.elapsed_ms().1 * 1e-3);
-        tr.end(s);
-        setup_parts.push(parts);
+        let mut built = None;
+        for _ in 0..SETUPS_PER_SEGMENT {
+            drop(built.take());
+            let s = tr.begin("perfbench", "setup");
+            let t = Stamp::now();
+            let (ctx, sim, parts) = setup(spec, &scenario, tr)?;
+            setup_cpu.push(t.elapsed_ms().1 * 1e-3);
+            tr.end(s);
+            setup_parts.push(parts);
+            built = Some((ctx, sim));
+        }
+        let (ctx, mut sim) = built.expect("at least one set-up");
 
         let dt = sim.suggest_dt(scenario.default_cfl());
         let s = tr.begin("fem_solver.driver", "warmup");
@@ -432,7 +460,7 @@ pub fn run(
             &mut sim,
             dt,
             budget,
-            spec.assembly_threads,
+            spec.ref_reading(),
             &mut off,
             &mut p,
             |_, _, _| {},
@@ -456,7 +484,7 @@ pub fn run(
     let (ctx, mut sim, dt, first) = last_segment.expect("at least one segment");
     out.set("setup_s", median(&setup_cpu));
     out.op_label = "RK4 steps";
-    summarize_ops(&mut out, &steps, &costs, busy_wall_s, busy_cpu_s);
+    summarize_ops(&mut out, &steps, &costs, MIN_STEPS, busy_wall_s, busy_cpu_s);
 
     let mesh = ctx.mesh();
     let nodes = mesh.num_nodes();
@@ -467,7 +495,7 @@ pub fn run(
     // the primitives (6 fields), the lumped mass, and the connectivity.
     let state_bytes = nodes * 8 * (6 * 5 + 6 + 1) + ne * npe * 4;
     out.context.push(format!(
-        "workload {name}: {} order {} edge {} ({ne} elements x {npe} nodes, {nodes} nodes), backend {}, assembly threads {}, diagnostics threads {}; {SEGMENTS} segments, each set up from the inputs",
+        "workload {name}: {} order {} edge {} ({ne} elements x {npe} nodes, {nodes} nodes), backend {}, assembly threads {}, diagnostics threads {}; {SEGMENTS} segments, each set up {SETUPS_PER_SEGMENT} times from the inputs",
         scenario.name(),
         spec.order,
         spec.edge,
@@ -513,9 +541,9 @@ pub fn run(
             dt,
             Budget {
                 seconds: seconds * 2.0 / 3.0,
-                min_steps: MIN_STEPS,
+                min_steps: MIN_TRACED_STEPS,
             },
-            spec.assembly_threads,
+            spec.ref_reading(),
             tr,
             &mut p,
             |sim, tr, p| {

@@ -18,29 +18,46 @@ pub fn median(v: &[f64]) -> f64 {
     }
 }
 
-/// Percentiles the tail is read at, highest first.
+/// Percentiles the tail may be read at, highest first.
 const TAIL_LADDER: [f64; 6] = [99.9, 99.0, 95.0, 90.0, 75.0, 50.0];
 
-/// The tail of `v`: the highest percentile of [`TAIL_LADDER`] with at
-/// least ten samples beyond it. Returns `(value, percentile, beyond)`;
-/// with fewer than twenty samples it falls back to the maximum
-/// (percentile 100, nothing beyond).
+/// Samples that must lie beyond the tail percentile.
+const TAIL_BEYOND: usize = 10;
+
+/// The tail percentile of a workload whose runs take at least `min_ops`
+/// operations: the highest percentile of [`TAIL_LADDER`] with at least
+/// [`TAIL_BEYOND`] samples beyond it at that count (100, the maximum, if
+/// none has).
 ///
-/// The percentile comes from a fixed ladder rather than from the sample
-/// count directly, so runs whose counts differ a little report the same
-/// percentile and stay comparable.
-pub fn tail(v: &[f64]) -> (f64, f64, usize) {
+/// It depends on the workload's guaranteed count, never on how many
+/// operations one run happened to complete: a percentile read from the
+/// count itself flips between two rungs of the ladder when runs land on
+/// either side of a rung's threshold, and the tail jumps with it.
+pub fn tail_percentile(min_ops: usize) -> f64 {
+    TAIL_LADDER
+        .into_iter()
+        .find(|&p| samples_beyond(min_ops, p) >= TAIL_BEYOND)
+        .unwrap_or(100.0)
+}
+
+/// Samples of `n` that lie beyond percentile `p`.
+fn samples_beyond(n: usize, p: f64) -> usize {
+    // The small offset absorbs rounding in `100 - p`.
+    ((n as f64) * (100.0 - p) / 100.0 + 1e-6).floor() as usize
+}
+
+/// Percentile `p` of `v`, with the samples beyond it: the largest sample
+/// that has `floor(n (100 − p) / 100)` samples above it. Returns
+/// `(value, beyond)`; `(0, 0)` if `v` is empty.
+pub fn tail(v: &[f64], p: f64) -> (f64, usize) {
     let mut s = v.to_vec();
     s.sort_by(f64::total_cmp);
     let n = s.len();
-    for p in TAIL_LADDER {
-        // The small offset absorbs rounding in `100 - p`.
-        let beyond = ((n as f64) * (100.0 - p) / 100.0 + 1e-6).floor() as usize;
-        if beyond >= 10 {
-            return (s[n - beyond - 1], p, beyond);
-        }
+    if n == 0 {
+        return (0.0, 0);
     }
-    (s.last().copied().unwrap_or(0.0), 100.0, 0)
+    let beyond = samples_beyond(n, p).min(n - 1);
+    (s[n - beyond - 1], beyond)
 }
 
 /// Initial-condition amplitude scale in `[0.95, 1.05]` drawn from `seed`
@@ -132,38 +149,89 @@ impl Samples {
 
 /// Points per axis of the reference kernel's tensor.
 const REF_N: usize = 8;
-/// Sweeps per reference-kernel call (about 3 ms of CPU time on a
-/// 2-vCPU Intel Xeon virtual machine running at full speed).
+/// Sweeps per reference-kernel call (2.5 to 5 ms of CPU time on a
+/// 2-vCPU Intel Xeon virtual machine, depending on the host's load).
 const REF_SWEEPS: usize = 400;
 
-/// Process CPU ms of one call of the fixed reference kernel on each of
-/// `threads` threads at once: `REF_SWEEPS` three-direction contractions
-/// of an 8³ tensor with an 8 × 8 matrix, the same kind of L1-resident
+/// Process CPU ms of one call of the fixed reference kernel on the
+/// calling thread: `REF_SWEEPS` three-direction contractions of an 8³
+/// tensor with an 8 × 8 matrix, the same kind of L1-resident
 /// floating-point loop nest as the solver's sum-factored kernels, on the
 /// same data every call.
 ///
-/// The benchmark runs it next to every operation, on as many threads as
-/// the operation uses, and reports operation costs as multiples of it,
-/// which cancels the speed changes a shared machine imposes (see
-/// `README.md`). It is part of the benchmark's definition: changing it
-/// rescales every cost figure.
-pub fn reference_kernel_cpu_ms(threads: usize) -> f64 {
+/// The benchmark runs it next to every operation and reports operation
+/// costs as multiples of it, which cancels the speed changes a shared
+/// machine imposes (see `README.md`). It is part of the benchmark's
+/// definition: changing it rescales every cost figure.
+pub fn reference_kernel_cpu_ms() -> f64 {
     let t = Stamp::now();
-    if threads <= 1 {
-        reference_kernel();
-    } else {
-        // Start together, as an operation's worker threads do.
-        let start = std::sync::Barrier::new(threads);
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| {
-                    start.wait();
-                    reference_kernel();
-                });
-            }
-        });
-    }
+    reference_kernel();
     t.elapsed_ms().1
+}
+
+/// How one reference reading is taken.
+#[derive(Clone, Copy)]
+pub enum RefReading {
+    /// One call on the calling thread, for single-threaded operations:
+    /// it runs on the vCPU the operation runs on.
+    Caller,
+    /// The mean of one call pinned to each CPU the process may use, one
+    /// after another, for operations spread over all of them. Two copies
+    /// started together instead overlap differently on every call and
+    /// jitter by 15–20 % per reading; one unpinned call samples whichever
+    /// vCPU it lands on.
+    EachCpu,
+}
+
+impl RefReading {
+    /// Takes one reading, in CPU ms.
+    pub fn read(self) -> f64 {
+        match self {
+            RefReading::Caller => reference_kernel_cpu_ms(),
+            RefReading::EachCpu => reference_each_cpu_ms(),
+        }
+    }
+}
+
+extern "C" {
+    fn sched_getaffinity(pid: i32, size: usize, mask: *mut u64) -> i32;
+    fn sched_setaffinity(pid: i32, size: usize, mask: *const u64) -> i32;
+}
+
+/// 64-bit words of a CPU mask (1,024 CPUs).
+const MASK_WORDS: usize = 16;
+/// Most CPUs [`RefReading::EachCpu`] reads one by one; with more, a
+/// reading would take longer than the operation, and it falls back to
+/// one call on the calling thread.
+const MAX_PINNED_CPUS: usize = 4;
+
+/// Mean CPU ms of one reference call pinned to each CPU of the calling
+/// thread's affinity mask, which is restored afterwards.
+fn reference_each_cpu_ms() -> f64 {
+    let mut allowed = [0u64; MASK_WORDS];
+    // SAFETY: the mask buffer is valid and writable for its full size;
+    // pid 0 is the calling thread.
+    if unsafe { sched_getaffinity(0, MASK_WORDS * 8, allowed.as_mut_ptr()) } != 0 {
+        return reference_kernel_cpu_ms();
+    }
+    let cpus: Vec<usize> = (0..MASK_WORDS * 64)
+        .filter(|&c| allowed[c / 64] >> (c % 64) & 1 == 1)
+        .collect();
+    if cpus.is_empty() || cpus.len() > MAX_PINNED_CPUS {
+        return reference_kernel_cpu_ms();
+    }
+    let mut sum = 0.0;
+    for &cpu in &cpus {
+        let mut one = [0u64; MASK_WORDS];
+        one[cpu / 64] = 1 << (cpu % 64);
+        // SAFETY: as above; the mask names one CPU of the allowed set.
+        // If pinning fails, the call simply runs unpinned.
+        unsafe { sched_setaffinity(0, MASK_WORDS * 8, one.as_ptr()) };
+        sum += reference_kernel_cpu_ms();
+    }
+    // SAFETY: restores the mask read above.
+    unsafe { sched_setaffinity(0, MASK_WORDS * 8, allowed.as_ptr()) };
+    sum / cpus.len() as f64
 }
 
 fn reference_kernel() {
@@ -195,8 +263,8 @@ fn reference_kernel() {
 }
 
 /// Costs of operations in reference-kernel units: operation `i`'s CPU ms
-/// over the mean of the reference calls just before and just after it
-/// (`refs` holds one more entry than `ops_cpu`).
+/// over the mean of the reference readings just before and just after
+/// it (`refs` holds one more entry than `ops_cpu`).
 pub fn reference_costs(ops_cpu: &[f64], refs: &[f64]) -> Vec<f64> {
     assert_eq!(
         refs.len(),
@@ -238,13 +306,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tail_keeps_ten_samples_beyond() {
+    fn tail_percentile_keeps_ten_samples_beyond() {
+        assert_eq!(tail_percentile(200), 95.0);
+        assert_eq!(tail_percentile(199), 90.0);
+        assert_eq!(tail_percentile(40), 75.0);
+        assert_eq!(tail_percentile(12), 100.0);
         let v: Vec<f64> = (0..150).map(f64::from).collect();
-        let (value, p, beyond) = tail(&v);
-        assert_eq!(p, 90.0);
-        assert_eq!(beyond, 15);
-        assert_eq!(value, 134.0);
-        assert_eq!(tail(&v[..12]).1, 100.0);
+        assert_eq!(tail(&v, 90.0), (134.0, 15));
+        // More samples keep the percentile; only the count beyond grows.
+        let w: Vec<f64> = (0..300).map(f64::from).collect();
+        assert_eq!(tail(&w, 90.0), (269.0, 30));
+        assert_eq!(tail(&v, 100.0), (149.0, 0));
     }
 
     #[test]
@@ -254,6 +326,17 @@ mod tests {
             assert!((0.95..=1.05).contains(&a));
             assert_eq!(a, amplitude_from_seed(seed));
         }
+    }
+
+    #[test]
+    fn each_cpu_reading_restores_the_mask() {
+        let mut before = [0u64; MASK_WORDS];
+        let mut after = [0u64; MASK_WORDS];
+        // SAFETY: valid, writable mask buffers; pid 0 is this thread.
+        unsafe { sched_getaffinity(0, MASK_WORDS * 8, before.as_mut_ptr()) };
+        assert!(RefReading::EachCpu.read() > 0.0);
+        unsafe { sched_getaffinity(0, MASK_WORDS * 8, after.as_mut_ptr()) };
+        assert_eq!(before, after);
     }
 
     #[test]
