@@ -159,26 +159,30 @@ impl HexBasis {
     ///
     /// `field` and `out` are indexed by flat node index.
     ///
+    /// **Order dispatch.** The loop nest lives in one private body that
+    /// takes the node count `n` per direction; this function calls it
+    /// with a literal `n` for orders 1–4 (`n = 2..=5`) and with the
+    /// run-time value for every other order. The literal arms let the
+    /// compiler fix the trip counts and drop the bounds checks; all arms
+    /// run the same floating-point expressions in the same summation
+    /// order, so every order gives results bitwise identical to the
+    /// generic loop.
+    ///
     /// # Panics
     ///
     /// Panics if slices are not `nodes_per_element()` long.
+    #[inline]
     pub fn reference_gradient(&self, field: &[f64], out: &mut [Vec3]) {
-        let n = self.nodes_per_dim();
         let nn = self.nodes_per_element();
         assert_eq!(field.len(), nn, "field length");
         assert_eq!(out.len(), nn, "output length");
-        for k in 0..n {
-            for j in 0..n {
-                for i in 0..n {
-                    let mut g = Vec3::ZERO;
-                    for m in 0..n {
-                        g.x += self.dmat[i * n + m] * field[self.flat_index(m, j, k)];
-                        g.y += self.dmat[j * n + m] * field[self.flat_index(i, m, k)];
-                        g.z += self.dmat[k * n + m] * field[self.flat_index(i, j, m)];
-                    }
-                    out[self.flat_index(i, j, k)] = g;
-                }
-            }
+        let d = &self.dmat;
+        match self.nodes_per_dim() {
+            2 => reference_gradient_body(d, field, out, 2),
+            3 => reference_gradient_body(d, field, out, 3),
+            4 => reference_gradient_body(d, field, out, 4),
+            5 => reference_gradient_body(d, field, out, 5),
+            n => reference_gradient_body(d, field, out, n),
         }
     }
 
@@ -187,6 +191,31 @@ impl HexBasis {
     pub fn gradient_mac_count(&self) -> usize {
         let n = self.nodes_per_dim();
         3 * n * n * n * n
+    }
+}
+
+/// The loop nest of [`HexBasis::reference_gradient`] for `n` nodes per
+/// direction. Every buffer is sliced to its exact length first, so with a
+/// literal `n` the compiler sees constant trip counts and in-bounds
+/// indices.
+#[inline(always)]
+fn reference_gradient_body(dmat: &[f64], field: &[f64], out: &mut [Vec3], n: usize) {
+    let nn = n * n * n;
+    let dmat = &dmat[..n * n];
+    let field = &field[..nn];
+    let out = &mut out[..nn];
+    for k in 0..n {
+        for j in 0..n {
+            for i in 0..n {
+                let mut g = Vec3::ZERO;
+                for m in 0..n {
+                    g.x += dmat[i * n + m] * field[m + n * (j + n * k)];
+                    g.y += dmat[j * n + m] * field[i + n * (m + n * k)];
+                    g.z += dmat[k * n + m] * field[i + n * (j + n * m)];
+                }
+                out[i + n * (j + n * k)] = g;
+            }
+        }
     }
 }
 
@@ -346,6 +375,33 @@ mod tests {
     }
 
     #[test]
+    fn order_dispatch_is_bitwise_the_generic_body() {
+        // Each literal-`n` arm must be the generic loop nest with its
+        // trip count fixed, not a reordered sum: compare every arm with
+        // the body run on an `n` the compiler cannot see.
+        for order in 1..=4 {
+            let hex = HexBasis::new(order).unwrap();
+            let nn = hex.nodes_per_element();
+            let field: Vec<f64> = (0..nn)
+                .map(|q| ((q * 37 % 101) as f64 - 50.0) * 0.013 + (q as f64).sin())
+                .collect();
+            let mut via_dispatch = vec![Vec3::ZERO; nn];
+            let mut via_generic = vec![Vec3::ZERO; nn];
+            hex.reference_gradient(&field, &mut via_dispatch);
+            let n = std::hint::black_box(hex.nodes_per_dim());
+            reference_gradient_body(hex.dmat(), &field, &mut via_generic, n);
+            for q in 0..nn {
+                let (a, b) = (via_dispatch[q], via_generic[q]);
+                assert_eq!(
+                    [a.x.to_bits(), a.y.to_bits(), a.z.to_bits()],
+                    [b.x.to_bits(), b.y.to_bits(), b.z.to_bits()],
+                    "order {order} node {q}"
+                );
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "field length")]
     fn gradient_panics_on_wrong_length() {
         let hex = HexBasis::new(1).unwrap();
@@ -355,42 +411,45 @@ mod tests {
 
     proptest! {
         /// Gradient is exact for random polynomials of per-direction degree ≤ p.
+        /// Orders 1–4 run the literal-`n` dispatch arms, 5 and 6 the
+        /// catch-all arm.
         #[test]
         fn prop_gradient_exact_for_tensor_polynomials(
-            order in 1usize..4,
             ax in -2.0f64..2.0,
             ay in -2.0f64..2.0,
             az in -2.0f64..2.0,
         ) {
-            let hex = HexBasis::new(order).unwrap();
-            let n = hex.nodes_per_dim();
-            let nn = hex.nodes_per_element();
-            let p = order as i32;
-            let f = |v: Vec3| ax * v.x.powi(p) + ay * v.y.powi(p) + az * v.z.powi(p);
-            let df = |v: Vec3| {
-                let pf = p as f64;
-                Vec3::new(
-                    ax * pf * v.x.powi(p - 1),
-                    ay * pf * v.y.powi(p - 1),
-                    az * pf * v.z.powi(p - 1),
-                )
-            };
-            let mut field = vec![0.0; nn];
-            for k in 0..n {
-                for j in 0..n {
-                    for i in 0..n {
-                        field[hex.flat_index(i, j, k)] = f(hex.ref_coords(i, j, k));
+            for order in 1..=6 {
+                let hex = HexBasis::new(order).unwrap();
+                let n = hex.nodes_per_dim();
+                let nn = hex.nodes_per_element();
+                let p = order as i32;
+                let f = |v: Vec3| ax * v.x.powi(p) + ay * v.y.powi(p) + az * v.z.powi(p);
+                let df = |v: Vec3| {
+                    let pf = p as f64;
+                    Vec3::new(
+                        ax * pf * v.x.powi(p - 1),
+                        ay * pf * v.y.powi(p - 1),
+                        az * pf * v.z.powi(p - 1),
+                    )
+                };
+                let mut field = vec![0.0; nn];
+                for k in 0..n {
+                    for j in 0..n {
+                        for i in 0..n {
+                            field[hex.flat_index(i, j, k)] = f(hex.ref_coords(i, j, k));
+                        }
                     }
                 }
-            }
-            let mut grad = vec![Vec3::ZERO; nn];
-            hex.reference_gradient(&field, &mut grad);
-            for k in 0..n {
-                for j in 0..n {
-                    for i in 0..n {
-                        let g = grad[hex.flat_index(i, j, k)];
-                        let exact = df(hex.ref_coords(i, j, k));
-                        prop_assert!((g - exact).norm() < 1e-10);
+                let mut grad = vec![Vec3::ZERO; nn];
+                hex.reference_gradient(&field, &mut grad);
+                for k in 0..n {
+                    for j in 0..n {
+                        for i in 0..n {
+                            let g = grad[hex.flat_index(i, j, k)];
+                            let exact = df(hex.ref_coords(i, j, k));
+                            prop_assert!((g - exact).norm() < 1e-10, "order {}", order);
+                        }
                     }
                 }
             }

@@ -79,6 +79,21 @@
 //! long as its *scatter* order is canonical. The sum-factored path is
 //! bit-identical to the pre-knob kernel (it *is* that loop), so all golden
 //! traces and cross-backend bitwise guarantees are unchanged by default.
+//!
+//! # Order dispatch
+//!
+//! [`weak_divergence`] and [`HexBasis::reference_gradient`] each keep
+//! their loop nest in one private `#[inline(always)]` body that takes the
+//! node count `n` per direction, and `match` on `n`: orders 1–4
+//! (`n = 2..=5`) call the body with a literal, every other order with the
+//! run-time value. A literal `n` gives the compiler constant trip counts
+//! and, with every buffer sliced to its exact length first, no bounds
+//! checks — at p = 1 (`n = 2`) loop control otherwise outweighs the
+//! arithmetic. The arms differ only in what the compiler knows: each
+//! runs the same floating-point expressions in the same summation order,
+//! so the dispatch is bitwise neutral (a test compares every literal arm
+//! with the body run on an opaque `n`), and the determinism argument
+//! above holds unchanged for every order.
 
 use crate::gas::GasModel;
 use crate::state::{Conserved, Primitives};
@@ -270,31 +285,53 @@ pub fn fused_flux(ws: &mut ElementWorkspace, gas: &GasModel, basis: &HexBasis, g
     basis.reference_gradient(&ws.vel[2], &mut head[2]);
     basis.reference_gradient(&ws.temp, &mut tail[0]);
     let kappa = gas.kappa();
-    for q in 0..ws.npe {
-        let inv_jt = geom.inv_jt[q];
+    // Every per-node buffer sliced to the element size up front, so the
+    // node loop carries no bounds checks.
+    let npe = ws.npe;
+    let inv_jt = &geom.inv_jt[..npe];
+    let [gu, gv, gw, gt] = &ws.grad_ref;
+    let (gu, gv, gw, gt) = (&gu[..npe], &gv[..npe], &gw[..npe], &gt[..npe]);
+    let [ux, uy, uz] = &ws.vel;
+    let (ux, uy, uz) = (&ux[..npe], &uy[..npe], &uz[..npe]);
+    let (rho, pres, energy, mu) = (
+        &ws.rho[..npe],
+        &ws.pres[..npe],
+        &ws.energy[..npe],
+        &ws.mu[..npe],
+    );
+    let [f0, f1, f2, f3, f4] = &mut ws.flux;
+    let (f0, f1, f2, f3, f4) = (
+        &mut f0[..npe],
+        &mut f1[..npe],
+        &mut f2[..npe],
+        &mut f3[..npe],
+        &mut f4[..npe],
+    );
+    for q in 0..npe {
+        let inv_jt = inv_jt[q];
         // Physical gradients: L[a][b] = ∂u_a/∂x_b, row a = J⁻ᵀ ∇̂u_a.
         let l = Mat3::from_rows(
-            inv_jt.mul_vec(ws.grad_ref[0][q]),
-            inv_jt.mul_vec(ws.grad_ref[1][q]),
-            inv_jt.mul_vec(ws.grad_ref[2][q]),
+            inv_jt.mul_vec(gu[q]),
+            inv_jt.mul_vec(gv[q]),
+            inv_jt.mul_vec(gw[q]),
         );
-        let grad_t = inv_jt.mul_vec(ws.grad_ref[3][q]);
-        let mu = ws.mu[q];
+        let grad_t = inv_jt.mul_vec(gt[q]);
+        let mu = mu[q];
         let div_u = l.trace();
         // τ = μ(L + Lᵀ) − ⅔ μ (∇·u) I
         let tau =
             mu * (l + l.transpose()) - Mat3::diagonal(1.0, 1.0, 1.0) * (2.0 / 3.0 * mu * div_u);
-        let rho = ws.rho[q];
-        let u = Vec3::new(ws.vel[0][q], ws.vel[1][q], ws.vel[2][q]);
-        let p = ws.pres[q];
-        let e = ws.energy[q];
+        let rho = rho[q];
+        let u = Vec3::new(ux[q], uy[q], uz[q]);
+        let p = pres[q];
+        let e = energy[q];
         // Net flux per variable: convective minus viscous (mass has no
         // viscous contribution).
-        ws.flux[0][q] = rho * u;
-        ws.flux[1][q] = (rho * u.x) * u + Vec3::new(p, 0.0, 0.0) - tau.row(0);
-        ws.flux[2][q] = (rho * u.y) * u + Vec3::new(0.0, p, 0.0) - tau.row(1);
-        ws.flux[3][q] = (rho * u.z) * u + Vec3::new(0.0, 0.0, p) - tau.row(2);
-        ws.flux[4][q] = (e + p) * u - (tau.mul_vec(u) + kappa * grad_t);
+        f0[q] = rho * u;
+        f1[q] = (rho * u.x) * u + Vec3::new(p, 0.0, 0.0) - tau.row(0);
+        f2[q] = (rho * u.y) * u + Vec3::new(0.0, p, 0.0) - tau.row(1);
+        f3[q] = (rho * u.z) * u + Vec3::new(0.0, 0.0, p) - tau.row(2);
+        f4[q] = (e + p) * u - (tau.mul_vec(u) + kappa * grad_t);
     }
 }
 
@@ -304,17 +341,41 @@ pub fn fused_flux(ws: &mut ElementWorkspace, gas: &GasModel, basis: &HexBasis, g
 /// `sign` is `+1` for the convective fluxes and `-1` for the viscous
 /// fluxes (the semi-discrete form is
 /// `M dU/dt = ∫∇N·F_c − ∫∇N·F_v`).
+///
+/// Dispatches on the node count per direction like
+/// [`HexBasis::reference_gradient`]: literal `n` for orders 1–4, the
+/// run-time value otherwise, one loop nest for all (see the module docs).
 pub fn weak_divergence(ws: &mut ElementWorkspace, basis: &HexBasis, geom: GeomRef, sign: f64) {
-    let n = basis.nodes_per_dim();
     let d = basis.dmat();
+    match basis.nodes_per_dim() {
+        2 => weak_divergence_body(ws, d, geom, sign, 2),
+        3 => weak_divergence_body(ws, d, geom, sign, 3),
+        4 => weak_divergence_body(ws, d, geom, sign, 4),
+        5 => weak_divergence_body(ws, d, geom, sign, 5),
+        n => weak_divergence_body(ws, d, geom, sign, n),
+    }
+}
+
+/// The loop nest of [`weak_divergence`] for `n` nodes per direction, with
+/// every buffer sliced to its exact length so a literal `n` gives
+/// constant trip counts and in-bounds indices.
+#[inline(always)]
+fn weak_divergence_body(ws: &mut ElementWorkspace, d: &[f64], geom: GeomRef, sign: f64, n: usize) {
+    let npe = n * n * n;
+    let d = &d[..n * n];
+    let inv_jt = &geom.inv_jt[..npe];
+    let det_w = &geom.det_w[..npe];
     // G_d(q) = w_q det(J_q) · (J⁻¹ F_q)_d ; with inv_jt = J⁻ᵀ stored,
     // (J⁻¹ F)_d = F · column d of J⁻ᵀ.
     for v in 0..NUM_VARS {
-        for q in 0..ws.npe {
-            let f = ws.flux[v][q];
-            let inv_jt = geom.inv_jt[q];
-            let w = geom.det_w[q];
-            ws.g[v][q] = Vec3::new(
+        let flux = &ws.flux[v][..npe];
+        let g = &mut ws.g[v][..npe];
+        let res = &mut ws.res[v][..npe];
+        for q in 0..npe {
+            let f = flux[q];
+            let inv_jt = inv_jt[q];
+            let w = det_w[q];
+            g[q] = Vec3::new(
                 w * f.dot(inv_jt.col(0)),
                 w * f.dot(inv_jt.col(1)),
                 w * f.dot(inv_jt.col(2)),
@@ -328,11 +389,11 @@ pub fn weak_divergence(ws: &mut ElementWorkspace, basis: &HexBasis, geom: GeomRe
                 for i1 in 0..n {
                     let mut acc = 0.0;
                     for m in 0..n {
-                        acc += d[m * n + i1] * ws.g[v][m + n * (i2 + n * i3)].x;
-                        acc += d[m * n + i2] * ws.g[v][i1 + n * (m + n * i3)].y;
-                        acc += d[m * n + i3] * ws.g[v][i1 + n * (i2 + n * m)].z;
+                        acc += d[m * n + i1] * g[m + n * (i2 + n * i3)].x;
+                        acc += d[m * n + i2] * g[i1 + n * (m + n * i3)].y;
+                        acc += d[m * n + i3] * g[i1 + n * (i2 + n * m)].z;
                     }
-                    ws.res[v][i1 + n * (i2 + n * i3)] += sign * acc;
+                    res[i1 + n * (i2 + n * i3)] += sign * acc;
                 }
             }
         }
@@ -888,7 +949,9 @@ mod tests {
         // Same workspace state, same geometry: the dense reference and the
         // factored hot path are the same integral summed in different
         // orders, so they must agree to ≤1e-12 relative at every order.
-        for order in 1..=4 {
+        // Orders 1–4 run the literal-`n` dispatch arms, 5 and 6 the
+        // catch-all arm.
+        for order in 1..=6 {
             let mesh = BoxMeshBuilder::tgv_box(3).order(order).build().unwrap();
             let basis = HexBasis::new(order).unwrap();
             let gas = GasModel::air(2.0e-2);
@@ -925,6 +988,49 @@ mod tests {
                         assert!(
                             (x - y).abs() <= 1e-12 * scale.max(1.0),
                             "order {order} element {e} var {v} node {q}: {x} vs {y}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn order_dispatch_is_bitwise_the_generic_body() {
+        // Each literal-`n` arm must be the generic loop nest with its trip
+        // count fixed, not a reordered sum: compare every arm with the
+        // body run on an `n` the compiler cannot see.
+        for order in 1..=4 {
+            let mesh = BoxMeshBuilder::tgv_box(3).order(order).build().unwrap();
+            let basis = HexBasis::new(order).unwrap();
+            let gas = GasModel::air(2.0e-2);
+            let (c, p) = make_state(&mesh, &gas, |x| {
+                (
+                    1.0 + 0.06 * x.y.sin(),
+                    Vec3::new(7.0 * x.z.sin(), -4.0 * x.x.cos(), 2.0 * x.y.sin()),
+                    300.0 + 6.0 * x.x.cos(),
+                )
+            });
+            let cache = fem_mesh::geometry::GeometryCache::build(&mesh, &basis).unwrap();
+            let npe = mesh.nodes_per_element();
+            let mut via_dispatch = ElementWorkspace::new(npe);
+            let mut via_generic = ElementWorkspace::new(npe);
+            for e in 0..mesh.num_elements() {
+                let geom = cache.element(e);
+                for ws in [&mut via_dispatch, &mut via_generic] {
+                    ws.gather(mesh.element_nodes(e), &c, &p);
+                    ws.zero_residuals();
+                    fused_flux(ws, &gas, &basis, geom);
+                }
+                weak_divergence(&mut via_dispatch, &basis, geom, 1.0);
+                let n = std::hint::black_box(basis.nodes_per_dim());
+                weak_divergence_body(&mut via_generic, basis.dmat(), geom, 1.0, n);
+                for v in 0..NUM_VARS {
+                    for q in 0..npe {
+                        assert_eq!(
+                            via_dispatch.res[v][q].to_bits(),
+                            via_generic.res[v][q].to_bits(),
+                            "order {order} element {e} var {v} node {q}"
                         );
                     }
                 }
