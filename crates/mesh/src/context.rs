@@ -18,7 +18,7 @@
 //!   it at most once;
 //! * shard plans are memoized per requested `(shards, strategy)` pair
 //!   ([`SharedMeshContext::shard_plan`]), so every member selecting the
-//!   same sharded backend reuses one plan.
+//!   same multi-device backend reuses one plan.
 //!
 //! Nothing behind the handle is ever mutated after construction — the
 //! lazy caches only *add* entries, and the values they hand out are
@@ -151,7 +151,7 @@ impl SharedMeshContext {
 
     /// The shard plan for a requested `(shards, strategy)` pair, built on
     /// first request and memoized (single-batch streaming, like the
-    /// sharded execution backends).
+    /// multi-device execution backend).
     ///
     /// # Errors
     ///

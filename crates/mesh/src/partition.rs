@@ -50,7 +50,7 @@
 //!
 //! # Determinism under permuted element orders
 //!
-//! The solver's `Sharded` backend is bitwise identical to the serial
+//! The solver's `MultiDevice` backend is bitwise identical to the serial
 //! element loop for *any* shard assignment, not just contiguous ranges.
 //! The argument no longer leans on range contiguity:
 //!

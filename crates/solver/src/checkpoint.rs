@@ -156,10 +156,10 @@ mod tests {
 
     #[test]
     fn restored_trajectory_is_bitwise_identical_across_backends_and_shard_counts() {
-        // A mid-run checkpoint restored under Reference, Sharded, and
-        // MultiDevice backends (several shard/device counts) must
-        // continue on the *same* bit-exact trajectory as the
-        // uninterrupted serial run — restart files written on one
+        // A mid-run checkpoint restored under the Reference and
+        // MultiDevice backends (several device counts, both partition
+        // strategies) must continue on the *same* bit-exact trajectory
+        // as the uninterrupted serial run — restart files written on one
         // executor are valid on any other.
         use crate::engine::{BackendSelect, PartitionStrategy};
         use crate::parallel::AssemblyStrategy;
@@ -173,12 +173,12 @@ mod tests {
         straight.advance(8, dt).unwrap();
         let expect = straight.conserved().to_bit_vec();
 
-        // Mid-run checkpoint (written by a *sharded* run, so the saved
-        // state itself already crossed a backend boundary).
+        // Mid-run checkpoint (written by a *multi-device* run, so the
+        // saved state itself already crossed a backend boundary).
         let mut first = Simulation::new(mesh.clone(), cfg.gas(), initial).unwrap();
         first
-            .set_backend(BackendSelect::Sharded {
-                shards: 3,
+            .set_backend(BackendSelect::MultiDevice {
+                devices: 3,
                 strategy: PartitionStrategy::Contiguous,
             })
             .unwrap();
@@ -193,45 +193,19 @@ mod tests {
 
         let contiguous = PartitionStrategy::Contiguous;
         let partitioned = PartitionStrategy::Partitioned;
-        let backends = [
-            BackendSelect::Reference(AssemblyStrategy::Serial),
-            BackendSelect::Sharded {
-                shards: 1,
-                strategy: contiguous,
-            },
-            BackendSelect::Sharded {
-                shards: 2,
-                strategy: contiguous,
-            },
-            BackendSelect::Sharded {
-                shards: 7,
-                strategy: contiguous,
-            },
-            BackendSelect::Sharded {
-                shards: 2,
-                strategy: partitioned,
-            },
-            BackendSelect::Sharded {
-                shards: 7,
-                strategy: partitioned,
-            },
-            BackendSelect::DataflowEmulated {
-                shards: 4,
-                strategy: contiguous,
-            },
-            BackendSelect::DataflowEmulated {
-                shards: 4,
-                strategy: partitioned,
-            },
-            BackendSelect::MultiDevice {
-                devices: 2,
-                strategy: contiguous,
-            },
-            BackendSelect::MultiDevice {
-                devices: 3,
-                strategy: partitioned,
-            },
-        ];
+        let mut backends = vec![BackendSelect::Reference(AssemblyStrategy::Serial)];
+        for (devices, strategy) in [
+            (1, contiguous),
+            (2, contiguous),
+            (7, contiguous),
+            (2, partitioned),
+            (7, partitioned),
+            (4, contiguous),
+            (4, partitioned),
+            (3, partitioned),
+        ] {
+            backends.push(BackendSelect::MultiDevice { devices, strategy });
+        }
         for select in backends {
             let restored = Checkpoint::read(buf.as_slice()).unwrap();
             assert_eq!(restored.steps_taken, 4);

@@ -16,16 +16,16 @@
 //!
 //! The RKL assembly itself is delegated to a pluggable
 //! [`ExecutionBackend`] (see [`crate::engine`]): the classic
-//! [`AssemblyStrategy`] selection is now sugar over the reference
-//! backend, and [`Simulation::set_backend`] swaps in the shard-parallel
-//! or dataflow-emulated engines without touching the time loop.
+//! [`AssemblyStrategy`] selection is sugar over the reference backend,
+//! and [`Simulation::set_backend`] swaps in the multi-device engine —
+//! bitwise identical to the serial loop at every device count — without
+//! touching the time loop.
 
 use crate::boundary::DirichletBc;
 use crate::diagnostics::FlowDiagnostics;
 use crate::engine::{
-    AssemblyContext, BackendSelect, DataflowEmulatedBackend, DeviceExchangeReport,
-    DevicePhaseSeconds, ExecutionBackend, MultiDeviceBackend, ReferenceBackend, ShardCycleReport,
-    ShardedBackend,
+    AssemblyContext, BackendSelect, DeviceExchangeReport, DevicePhaseSeconds, ExecutionBackend,
+    MultiDeviceBackend, ReferenceBackend,
 };
 use crate::gas::GasModel;
 use crate::kernels::KernelPath;
@@ -107,7 +107,7 @@ impl SolverCore {
     }
 
     /// The active host assembly strategy, reported by the backend itself
-    /// (`None` while a sharded or custom backend is active).
+    /// (`None` while a multi-device or custom backend is active).
     pub fn assembly_strategy(&self) -> Option<AssemblyStrategy> {
         self.backend.reference_strategy()
     }
@@ -164,7 +164,7 @@ impl OdeSystem for SolverCore {
         // ---- Lumped-mass solve + boundary conditions: RK(Other). ----
         let t0 = Instant::now();
         let inv = self.ctx.lumped_mass();
-        if !self.backend.capabilities().parallel {
+        if !self.backend.parallel() {
             let apply = |dst: &mut [f64]| {
                 for (v, &m) in dst.iter_mut().zip(inv) {
                     *v /= m;
@@ -347,7 +347,7 @@ impl SimulationBuilder {
     /// * [`SolverError::UnphysicalState`] if the initial state has
     ///   non-positive density or internal energy.
     /// * [`SolverError::Mesh`] for inverted elements, a bad basis order,
-    ///   or an invalid backend selection (zero shards).
+    ///   or an invalid backend selection (zero devices).
     pub fn build(self) -> Result<Simulation, SolverError> {
         let mesh_nodes = match &self.source {
             MeshSource::Mesh(m) => m.num_nodes(),
@@ -513,15 +513,14 @@ impl Simulation {
     }
 
     /// The active host assembly strategy, reported by the backend itself
-    /// (`None` while a sharded or custom backend is active).
+    /// (`None` while a multi-device or custom backend is active).
     pub fn assembly_strategy(&self) -> Option<AssemblyStrategy> {
         self.core.assembly_strategy()
     }
 
     /// Selects one of the built-in execution backends (see
-    /// [`crate::engine`]): the reference host paths, the shard-parallel
-    /// owned-node scatter, or the sharded path with per-shard accelerator
-    /// cycle emulation.
+    /// [`crate::engine`]): the reference host paths or the multi-device
+    /// halo exchange.
     ///
     /// Prefer [`SimulationBuilder::backend`] at construction; this
     /// remains for switching backends mid-run.
@@ -538,19 +537,6 @@ impl Simulation {
     pub fn set_backend(&mut self, select: BackendSelect) -> Result<(), SolverError> {
         match select {
             BackendSelect::Reference(strategy) => self.set_assembly_strategy(strategy),
-            BackendSelect::Sharded { shards, strategy } => {
-                let plan = self.core.ctx.shard_plan(shards, strategy)?;
-                self.core.backend =
-                    Box::new(ShardedBackend::with_plan(plan, self.core.ctx.geometry()));
-            }
-            BackendSelect::DataflowEmulated { shards, strategy } => {
-                let plan = self.core.ctx.shard_plan(shards, strategy)?;
-                self.core.backend = Box::new(DataflowEmulatedBackend::with_plan(
-                    plan,
-                    self.core.ctx.mesh(),
-                    self.core.ctx.geometry(),
-                )?);
-            }
             BackendSelect::MultiDevice { devices, strategy } => {
                 let plan = self.core.ctx.shard_plan(devices, strategy)?;
                 self.core.backend = Box::new(MultiDeviceBackend::with_plan(
@@ -573,13 +559,6 @@ impl Simulation {
     /// The active execution backend.
     pub fn backend(&self) -> &dyn ExecutionBackend {
         self.core.backend()
-    }
-
-    /// Per-shard accelerator cycle emulation of the active backend
-    /// (empty unless a [`BackendSelect::DataflowEmulated`] backend — or a
-    /// custom backend providing reports — is installed).
-    pub fn shard_reports(&self) -> &[ShardCycleReport] {
-        self.core.backend.shard_reports()
     }
 
     /// Per-device halo-exchange emulation of the active backend (empty

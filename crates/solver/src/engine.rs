@@ -1,56 +1,57 @@
-//! The shard-parallel execution engine: pluggable RHS-assembly backends.
+//! The execution engine: pluggable RHS-assembly backends, plus the
+//! plan-level accelerator models.
 //!
 //! The paper's central observation is that FEM assembly decomposes into
 //! independent element streams sized to on-chip memory (§III-A). This
 //! module turns that decomposition into the solver's execution model: the
 //! [`ExecutionBackend`] trait abstracts *how* the RKL residual is
 //! assembled, and the driver ([`crate::driver::Simulation`]) integrates
-//! through whichever backend is selected. Four implementations ship:
+//! through whichever backend is selected. Two implementations ship:
 //!
-//! * [`ReferenceBackend`] — the host CPU paths that existed before the
-//!   engine landed, wrapping an [`AssemblyStrategy`] (serial loop,
-//!   chunked partials, or color-parallel in-place scatter).
-//! * [`ShardedBackend`] — domain decomposition over a
+//! * [`ReferenceBackend`] — the host CPU paths, wrapping an
+//!   [`AssemblyStrategy`] (serial loop, chunked partials, or
+//!   color-parallel in-place scatter).
+//! * [`MultiDeviceBackend`] — domain decomposition over a
 //!   [`fem_mesh::partition::ShardPlan`] built with either
 //!   [`PartitionStrategy`] (contiguous ranges or the halo-minimizing
-//!   graph partition): each shard streams its elements of the
-//!   element-major [`GeometryCache`] in ascending id order, scatters
-//!   **interior** nodes (touched by this shard alone) straight into the
-//!   shared RHS (race-free by construction), and routes every
-//!   **frontier**-node contribution through a deterministic cross-shard
-//!   reduction on the owner shard.
-//! * [`DataflowEmulatedBackend`] — the same sharded numerics, plus a
-//!   per-shard Load → Compute → Store discrete-event emulation through
-//!   [`hls_dataflow::sim`] that attaches the predicted accelerator cycle
-//!   count and steady-state II of each shard ([`ShardCycleReport`]).
-//! * [`MultiDeviceBackend`] — one long-lived worker thread per simulated
+//!   graph partition), with one long-lived worker thread per simulated
 //!   device (the vendored rayon stub's [`rayon::scope`] threads are real
-//!   OS threads), replacing the central reduction with a decentralized
-//!   neighbor-to-neighbor halo **exchange**: each device posts its
-//!   frontier contributions to per-neighbor mailboxes as soon as its
-//!   frontier elements are assembled, overlaps its interior sweep with
-//!   the neighbors' posts in flight, and finalizes its owned frontier
-//!   nodes last, after draining its inbox. A companion DES models the
+//!   OS threads). Each device scatters **interior** nodes (touched by
+//!   this device alone) straight into the shared RHS and routes every
+//!   **frontier**-node contribution through a decentralized
+//!   neighbor-to-neighbor halo **exchange**: it posts its frontier
+//!   contributions to per-neighbor mailboxes as soon as its frontier
+//!   elements are assembled, overlaps its interior sweep with the
+//!   neighbors' posts in flight, and finalizes its owned frontier nodes
+//!   last, after draining its inbox. A companion DES models the
 //!   inter-device links from [`fpga_platform::pcie`] numbers and
 //!   separates compute, exchange, and *exposed* (non-overlapped)
 //!   communication per device ([`DeviceExchangeReport`]).
 //!
+//! The accelerator's per-compute-unit Load → Compute → Store timing is a
+//! model of a partition, not a way to compute the residual, so it takes
+//! a plan rather than a backend: [`emulate_plan`] routes every shard of
+//! any [`ShardPlan`] (e.g. `sim.backend().shard_plan()`) through the
+//! [`hls_dataflow::sim`] DES and returns one [`ShardCycleReport`] per
+//! shard, and [`emulate_plan_banked`] adds per-bank port contention on a
+//! [`MemorySystem`].
+//!
 //! # The shard determinism guarantee
 //!
-//! [`ShardedBackend`] is **bitwise identical to the serial reference loop
-//! for every shard count and both partition strategies** — the argument
-//! holds for *arbitrary* element-to-shard assignments, not just
-//! contiguous ranges:
+//! [`MultiDeviceBackend`] is **bitwise identical to the serial reference
+//! loop for every device count and both partition strategies** — the
+//! argument holds for *arbitrary* element-to-device assignments, not
+//! just contiguous ranges:
 //!
-//! 1. every shard stores its elements sorted ascending by global id and
-//!    sweeps them in that order;
+//! 1. every device stores its elements sorted ascending by global id and
+//!    walks them in that order;
 //! 2. an **interior** node (`plan.frontier()[n] == false`) is touched by
-//!    exactly one shard, so the direct scatter applies its contributions
-//!    in ascending element order — the serial order restricted to that
-//!    node;
+//!    exactly one device, so the direct scatter applies its
+//!    contributions in ascending element order — the serial order
+//!    restricted to that node;
 //! 3. a **frontier** node's contributions (the owner's own included) are
-//!    recorded per element, never pre-summed, bucketed to the owning
-//!    shard, and applied after a stable sort by (node, element) — again
+//!    recorded per element, never pre-summed, delivered to the owning
+//!    device, and applied after a sort by (node, element) — again
 //!    ascending global element order. Within one element a node appears
 //!    once (the generator rejects the degenerate periodic meshes that
 //!    could alias local nodes), so the (node, element) key is unique and
@@ -58,21 +59,17 @@
 //!
 //! Every node therefore accumulates its contributions one at a time in
 //! exactly the serial order: no regrouping, no rounding difference, the
-//! same bits for 1, 2, or 64 shards, contiguous or graph-partitioned.
+//! same bits for 1, 2, or 64 devices, contiguous or graph-partitioned.
 //!
 //! The argument never says *where* a frontier contribution must travel —
 //! only the (node, element) order in which the owner applies what
-//! arrives. That is why the decentralized exchange of
-//! [`MultiDeviceBackend`] stays bitwise too: routing records through
-//! per-neighbor mailboxes instead of one central stream changes the
-//! transport, not the applied order, because every owner sorts its
-//! drained records by the same total (node, element) key before the
-//! sequential apply. The one extra care the *split* sweep needs is
-//! interior nodes shared between a frontier element and an interior
-//! element of the same device: evaluating frontier elements early but
-//! scattering their interior-node contributions immediately would
-//! reorder those accumulations (floating-point addition commutes but
-//! `(x + a) + b ≠ (x + b) + a`), so the frontier sweep *buffers* its
+//! arrives — so routing records through per-neighbor mailboxes changes
+//! the transport, not the applied order. The one extra care the *split*
+//! sweep needs is interior nodes shared between a frontier element and
+//! an interior element of the same device: evaluating frontier elements
+//! early but scattering their interior-node contributions immediately
+//! would reorder those accumulations (floating-point addition commutes
+//! but `(x + a) + b ≠ (x + b) + a`), so the frontier sweep *buffers* its
 //! interior-node results and the interior sweep replays them in the
 //! ascending-element walk — each element evaluated once, every node
 //! accumulated in exactly the serial order.
@@ -100,7 +97,7 @@ use fem_numerics::tensor::HexBasis;
 use fpga_platform::{BankAssignment, MemorySystem};
 use hls_dataflow::network::{ChannelKind, NetworkBuilder};
 use hls_dataflow::sim::simulate;
-use rayon::prelude::*;
+use hls_dataflow::DataflowError;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -123,25 +120,9 @@ pub struct AssemblyContext<'a> {
     pub kernel: KernelPath,
 }
 
-/// Static capability metadata a backend reports about itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackendCapabilities {
-    /// Shards the backend decomposes the mesh into (1 for unsharded).
-    pub shards: usize,
-    /// Whether assembly fans out over worker threads (the driver uses
-    /// the parallel lumped-mass divide for such backends).
-    pub parallel: bool,
-    /// Whether the result is bitwise independent of the decomposition
-    /// width (shard/chunk count).
-    pub deterministic_across_widths: bool,
-    /// Whether the backend attaches accelerator cycle emulation
-    /// ([`ExecutionBackend::shard_reports`]).
-    pub emulates_accelerator: bool,
-}
-
 /// Predicted accelerator timing of one shard's element-token stream,
-/// produced by routing the shard through the Load → Compute → Store
-/// dataflow network of [`hls_dataflow::sim`].
+/// produced by [`emulate_plan`] routing the shard through the Load →
+/// Compute → Store dataflow network of [`hls_dataflow::sim`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardCycleReport {
     /// Shard index within the plan.
@@ -171,8 +152,9 @@ pub trait ExecutionBackend: std::fmt::Debug + Send {
     /// Human-readable backend identifier (stable — reported by studies).
     fn name(&self) -> String;
 
-    /// The backend's static capability metadata.
-    fn capabilities(&self) -> BackendCapabilities;
+    /// Whether assembly fans out over worker threads (the driver then
+    /// uses the parallel lumped-mass divide).
+    fn parallel(&self) -> bool;
 
     /// Assembles the RKL residual of `conserved`/`prim` into `out`
     /// (overwriting it; not yet mass-scaled). When `profiler` is given,
@@ -193,20 +175,15 @@ pub trait ExecutionBackend: std::fmt::Debug + Send {
     }
 
     /// The wrapped host [`AssemblyStrategy`], for reference backends
-    /// (`None` for sharded/custom backends).
+    /// (`None` for multi-device/custom backends).
     fn reference_strategy(&self) -> Option<AssemblyStrategy> {
         None
     }
 
-    /// Per-shard accelerator cycle emulation, if the backend provides it
-    /// (empty otherwise).
-    fn shard_reports(&self) -> &[ShardCycleReport] {
-        &[]
-    }
-
     /// The shard plan the backend decomposes the mesh with, if any —
-    /// studies read traffic/imbalance metadata from here rather than
-    /// rebuilding a (hopefully identical) plan of their own.
+    /// studies read traffic/imbalance metadata from here (and attach
+    /// [`emulate_plan`] to it) rather than rebuilding a (hopefully
+    /// identical) plan of their own.
     fn shard_plan(&self) -> Option<&ShardPlan> {
         None
     }
@@ -231,22 +208,6 @@ pub trait ExecutionBackend: std::fmt::Debug + Send {
 pub enum BackendSelect {
     /// The host reference paths, parameterized by [`AssemblyStrategy`].
     Reference(AssemblyStrategy),
-    /// Shard-parallel interior-scatter / frontier-merge assembly over a
-    /// [`ShardPlan`].
-    Sharded {
-        /// Requested shard count (clamped to the element count).
-        shards: usize,
-        /// How elements are assigned to shards.
-        strategy: PartitionStrategy,
-    },
-    /// [`BackendSelect::Sharded`] numerics plus per-shard accelerator
-    /// cycle emulation.
-    DataflowEmulated {
-        /// Requested shard count (clamped to the element count).
-        shards: usize,
-        /// How elements are assigned to shards.
-        strategy: PartitionStrategy,
-    },
     /// One worker thread per simulated device with a decentralized,
     /// overlapped neighbor-to-neighbor halo exchange plus an
     /// inter-device link DES ([`MultiDeviceBackend`]).
@@ -262,12 +223,6 @@ impl std::fmt::Display for BackendSelect {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BackendSelect::Reference(s) => write!(f, "reference({s})"),
-            BackendSelect::Sharded { shards, strategy } => {
-                write!(f, "sharded({shards}, {strategy})")
-            }
-            BackendSelect::DataflowEmulated { shards, strategy } => {
-                write!(f, "dataflow-emulated({shards}, {strategy})")
-            }
             BackendSelect::MultiDevice { devices, strategy } => {
                 write!(f, "multidevice({devices}, {strategy})")
             }
@@ -316,15 +271,8 @@ impl ExecutionBackend for ReferenceBackend {
         format!("reference({})", self.strategy)
     }
 
-    fn capabilities(&self) -> BackendCapabilities {
-        BackendCapabilities {
-            shards: 1,
-            parallel: !matches!(self.strategy, AssemblyStrategy::Serial),
-            // Colored grouping is fixed by the color order, not the
-            // schedule; serial has no decomposition at all.
-            deterministic_across_widths: !matches!(self.strategy, AssemblyStrategy::Chunked { .. }),
-            emulates_accelerator: false,
-        }
+    fn parallel(&self) -> bool {
+        !matches!(self.strategy, AssemblyStrategy::Serial)
     }
 
     fn assemble_rhs(
@@ -359,473 +307,69 @@ impl ExecutionBackend for ReferenceBackend {
     }
 }
 
-// -------------------------------------------------------------- sharded
-
-/// One frontier contribution: element residual values destined for a
-/// node touched by several shards, forwarded to the node's owner during
-/// the cross-shard reduction. The source element id is carried so the
-/// owner can restore ascending global element order before applying.
-#[derive(Debug, Clone)]
-struct HaloContribution {
-    node: u32,
-    element: u32,
-    vals: [f64; NUM_VARS],
-}
-
-/// Shard-parallel assembly over a [`ShardPlan`] (see the module docs for
-/// the bitwise-stability argument).
-#[derive(Debug)]
-pub struct ShardedBackend {
-    plan: Arc<ShardPlan>,
-    /// Per-owner halo buckets, kept across evaluations so the steady
-    /// state reduction allocates nothing.
-    per_owner: Vec<Vec<HaloContribution>>,
-    /// O(1) fingerprint of the cache the shard plan was built against,
-    /// re-checked on every assembly so a backend installed against the
-    /// wrong mesh/geometry fails loudly instead of applying a foreign
-    /// ownership plan.
-    geometry_fingerprint: (usize, u64, u64),
-}
-
-/// Cheap identity proxy for a geometry cache: element count plus the
-/// first and last quadrature weights' raw bits.
-fn geometry_fingerprint(geometry: &GeometryCache) -> (usize, u64, u64) {
-    let ne = geometry.num_elements();
-    if ne == 0 {
-        return (0, 0, 0);
-    }
-    let first = geometry.det_w(0).first().map_or(0, |v| v.to_bits());
-    let last = geometry.det_w(ne - 1).last().map_or(0, |v| v.to_bits());
-    (ne, first, last)
-}
-
-impl ShardedBackend {
-    /// Decomposes `mesh` into (up to) `shards` shards under `strategy`.
-    /// The sweep indexes the caller's geometry cache per element id —
-    /// no staged per-shard copy ([`GeometryCache::shard`] exists for
-    /// device backends that must stage a contiguous slice).
-    ///
-    /// # Errors
-    ///
-    /// [`SolverError::Mesh`] if `shards == 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `geometry` does not cover `mesh`.
-    pub fn new(
-        mesh: &HexMesh,
-        geometry: &GeometryCache,
-        shards: usize,
-        strategy: PartitionStrategy,
-    ) -> Result<ShardedBackend, SolverError> {
-        assert_eq!(
-            geometry.num_elements(),
-            mesh.num_elements(),
-            "geometry cache does not cover the mesh"
-        );
-        let plan = Arc::new(ShardPlan::with_strategy(
-            mesh,
-            shards,
-            usize::MAX,
-            strategy,
-        )?);
-        Ok(ShardedBackend::with_plan(plan, geometry))
-    }
-
-    /// Wraps an already-built (possibly shared) shard plan — how ensemble
-    /// members on one [`fem_mesh::SharedMeshContext`] reuse a single plan
-    /// instead of each re-partitioning the mesh.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `geometry` does not cover the plan's mesh.
-    pub fn with_plan(plan: Arc<ShardPlan>, geometry: &GeometryCache) -> ShardedBackend {
-        assert_eq!(
-            geometry.num_elements(),
-            plan.num_elements(),
-            "geometry cache does not cover the shard plan's mesh"
-        );
-        let per_owner = vec![Vec::new(); plan.num_shards()];
-        ShardedBackend {
-            plan,
-            per_owner,
-            geometry_fingerprint: geometry_fingerprint(geometry),
-        }
-    }
-
-    /// The underlying shard plan.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-}
-
-impl ExecutionBackend for ShardedBackend {
-    fn name(&self) -> String {
-        format!(
-            "sharded({}, {})",
-            self.plan.num_shards(),
-            self.plan.strategy()
-        )
-    }
-
-    fn capabilities(&self) -> BackendCapabilities {
-        BackendCapabilities {
-            shards: self.plan.num_shards(),
-            parallel: true,
-            deterministic_across_widths: true,
-            emulates_accelerator: false,
-        }
-    }
-
-    fn shard_plan(&self) -> Option<&ShardPlan> {
-        Some(self.plan.as_ref())
-    }
-
-    fn assemble_rhs(
-        &mut self,
-        ctx: &AssemblyContext<'_>,
-        conserved: &Conserved,
-        prim: &Primitives,
-        out: &mut Conserved,
-        profiler: Option<&mut PhaseProfiler>,
-    ) {
-        assert_eq!(conserved.len(), ctx.mesh.num_nodes(), "state size");
-        assert_eq!(out.len(), ctx.mesh.num_nodes(), "output size");
-        assert_eq!(
-            self.plan.num_elements(),
-            ctx.mesh.num_elements(),
-            "shard plan does not cover the mesh"
-        );
-        // det_w sampling cannot tell uniform meshes apart, so the node
-        // count (which separates e.g. periodic from walled boxes of the
-        // same size) is checked alongside the geometry fingerprint.
-        assert_eq!(
-            self.plan.num_nodes(),
-            ctx.mesh.num_nodes(),
-            "shard plan node ownership does not cover the mesh"
-        );
-        assert_eq!(
-            geometry_fingerprint(ctx.geometry),
-            self.geometry_fingerprint,
-            "assembly context geometry does not match the shard plan's mesh"
-        );
-        let npe = ctx.mesh.nodes_per_element();
-        let viscous = ctx.gas.mu > 0.0;
-        let profile = profiler.is_some();
-        let kernel = KernelOps::resolve(ctx.kernel, ctx.basis);
-        let owner = self.plan.owners();
-        let frontier = self.plan.frontier();
-
-        out.set_zero();
-        let shared = SharedRhs::new(out);
-        let agg = Mutex::new(PhaseProfiler::new());
-
-        // Phase 1 — parallel shard sweep: every shard evaluates its
-        // elements in ascending global-id order, scatters interior-node
-        // contributions straight into the shared RHS (an interior node
-        // has exactly one touching shard ⇒ race-free, and the sweep
-        // order is the serial order restricted to that node) and emits
-        // every frontier-node contribution — the owner's own included —
-        // tagged with its source element.
-        let halo_stream: Vec<HaloContribution> = self
-            .plan
-            .shards()
-            .par_iter()
-            .flat_map(|shard| {
-                let mut ws = ElementWorkspace::new(npe);
-                let mut local = PhaseProfiler::new();
-                let mut halo: Vec<HaloContribution> = Vec::new();
-                for &e32 in shard.elements() {
-                    let e = e32 as usize;
-                    eval_element(
-                        ctx.mesh,
-                        ctx.basis,
-                        ctx.gas,
-                        viscous,
-                        conserved,
-                        prim,
-                        e,
-                        &mut ws,
-                        ctx.geometry.element(e),
-                        &kernel,
-                        if profile { Some(&mut local) } else { None },
-                    );
-                    let t0 = profile.then(Instant::now);
-                    for (q, &n) in ctx.mesh.element_nodes(e).iter().enumerate() {
-                        if !frontier[n as usize] {
-                            // SAFETY: node indices come from the mesh
-                            // connectivity (in bounds) and an interior
-                            // node is touched by this shard alone, so no
-                            // two threads alias.
-                            unsafe { shared.add_node(n as usize, &ws.res, q) };
-                        } else {
-                            halo.push(HaloContribution {
-                                node: n,
-                                element: e32,
-                                vals: [
-                                    ws.res[0][q],
-                                    ws.res[1][q],
-                                    ws.res[2][q],
-                                    ws.res[3][q],
-                                    ws.res[4][q],
-                                ],
-                            });
-                        }
-                    }
-                    if let Some(t0) = t0 {
-                        local.add(Phase::RkOther, t0.elapsed());
-                    }
-                }
-                if profile {
-                    agg.lock().unwrap().merge(&local);
-                }
-                halo
-            })
-            .collect();
-
-        // Phase 2 — deterministic cross-shard reduction. One sequential
-        // pass buckets the stream per owner, then every owner restores
-        // ascending global element order with a stable sort by
-        // (node, element) — total, since a node appears at most once per
-        // element — and applies its bucket sequentially; owners target
-        // disjoint node sets, so the fan-out is race-free. The buckets
-        // are persistent per-backend buffers, so the bucketing pass
-        // reuses their capacity (the per-shard halo Vecs and the
-        // collected stream still allocate per evaluation).
-        let t0 = profile.then(Instant::now);
-        for bucket in &mut self.per_owner {
-            bucket.clear();
-        }
-        for rec in halo_stream {
-            self.per_owner[owner[rec.node as usize] as usize].push(rec);
-        }
-        self.per_owner.par_chunks_mut(1).for_each(|owner_bucket| {
-            let bucket = &mut owner_bucket[0];
-            bucket.sort_by_key(|rec| (rec.node, rec.element));
-            for rec in bucket {
-                // SAFETY: in-bounds node, and each node has exactly
-                // one owner, so concurrent owners never alias.
-                unsafe { shared.add_vals(rec.node as usize, &rec.vals) };
-            }
-        });
-        if profile {
-            let mut agg = agg.into_inner().unwrap();
-            if let Some(t0) = t0 {
-                agg.add(Phase::RkOther, t0.elapsed());
-            }
-            if let Some(p) = profiler {
-                p.merge(&agg);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------- dataflow-emulated
+// ---------------------------------------------------- accelerator model
 
 /// Bytes one AXI beat moves in the emulation (512-bit bus).
 const AXI_BYTES_PER_CYCLE: u64 = 64;
 
-/// [`ShardedBackend`] numerics plus per-shard accelerator cycle
-/// emulation: each shard's element-token stream is routed through a
-/// Load → Compute → Store dataflow network sized from the shard's DDR
-/// traffic, and the resulting [`ShardCycleReport`]s are cached (shard
-/// structure is state-independent, so the DES runs once at construction).
-#[derive(Debug)]
-pub struct DataflowEmulatedBackend {
-    inner: ShardedBackend,
-    reports: Vec<ShardCycleReport>,
-    banked: Option<BankedEmulation>,
-}
+/// Routes every shard of `plan` through the accelerator's Load → Compute
+/// → Store dataflow pipeline and returns one [`ShardCycleReport`] per
+/// shard, index-aligned with `plan.shards()`. The load and store IIs come
+/// from each shard's DDR traffic; `npe` (nodes per element) sets the
+/// compute II. The model reads only the plan, so it attaches to any
+/// decomposition — e.g. a running backend's
+/// [`ExecutionBackend::shard_plan`] — without touching the numerics.
+///
+/// # Errors
+///
+/// [`DataflowError`] if a shard network fails to validate or simulate
+/// (cannot happen for the generated 3-task chains, but surfaced rather
+/// than panicking).
+pub fn emulate_plan(plan: &ShardPlan, npe: u64) -> Result<Vec<ShardCycleReport>, DataflowError> {
+    plan.shards()
+        .iter()
+        .map(|shard| {
+            let elements = shard.num_elements() as u64;
+            let bytes_in_pe = (shard.bytes_in() as u64).div_ceil(elements.max(1));
+            let bytes_out_pe = (shard.bytes_out() as u64).div_ceil(elements.max(1));
+            let load_ii = bytes_in_pe.div_ceil(AXI_BYTES_PER_CYCLE).max(1);
+            // The fused Diffusion ⊕ Convection module retires one element
+            // node per cycle once pipelined. Under the sum-factorized
+            // schedule each output node needs 5 · 3n MACs — three 1D
+            // sweeps of n MACs per variable — which an unrolled 3n-wide
+            // MAC tree (n ≤ 5 on the p ≤ 4 ladder) retires in one II=1
+            // issue per node, so the element-level II stays npe cycles.
+            // The full-matrix schedule would need 3·npe MACs per node (n²
+            // wider) — the HLS quote assumes the factored hot path.
+            let compute_ii = npe.max(1);
+            let store_ii = bytes_out_pe.div_ceil(AXI_BYTES_PER_CYCLE).max(1);
 
-impl DataflowEmulatedBackend {
-    /// Builds the sharded backend and runs the per-shard emulation.
-    ///
-    /// # Errors
-    ///
-    /// [`SolverError::Mesh`] if `shards == 0`, or if a shard network
-    /// fails to simulate (cannot happen for the generated 3-task chains,
-    /// but surfaced rather than panicking).
-    pub fn new(
-        mesh: &HexMesh,
-        geometry: &GeometryCache,
-        shards: usize,
-        strategy: PartitionStrategy,
-    ) -> Result<DataflowEmulatedBackend, SolverError> {
-        let plan = Arc::new(ShardPlan::with_strategy(
-            mesh,
-            shards,
-            usize::MAX,
-            strategy,
-        )?);
-        DataflowEmulatedBackend::with_plan(plan, mesh, geometry)
-    }
-
-    /// Wraps an already-built (possibly shared) shard plan and runs the
-    /// per-shard emulation — the shared-plan counterpart of
-    /// [`DataflowEmulatedBackend::new`], used by ensemble members on one
-    /// [`fem_mesh::SharedMeshContext`].
-    ///
-    /// # Errors
-    ///
-    /// [`SolverError::Mesh`] if a shard network fails to simulate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `geometry` does not cover the plan's mesh.
-    pub fn with_plan(
-        plan: Arc<ShardPlan>,
-        mesh: &HexMesh,
-        geometry: &GeometryCache,
-    ) -> Result<DataflowEmulatedBackend, SolverError> {
-        let inner = ShardedBackend::with_plan(plan, geometry);
-        let npe = mesh.nodes_per_element() as u64;
-        // Every shard of a plan is non-empty (the plan clamps the shard
-        // count), so emulating all of them keeps `reports` index-aligned
-        // with `plan.shards()` by construction.
-        let reports: Vec<Result<ShardCycleReport, hls_dataflow::DataflowError>> = inner
-            .plan()
-            .shards()
-            .par_iter()
-            .map(|s| emulate_shard(s, npe))
-            .collect();
-        let mut out = Vec::with_capacity(reports.len());
-        for r in reports {
-            out.push(r.map_err(|e| {
-                SolverError::Mesh(fem_mesh::MeshError::InvalidParameter(format!(
-                    "shard emulation failed: {e}"
-                )))
-            })?);
-        }
-        Ok(DataflowEmulatedBackend {
-            inner,
-            reports: out,
-            banked: None,
+            let mut b = NetworkBuilder::new();
+            let lc = b.channel("load_compute", 8, ChannelKind::Fifo);
+            let cs = b.channel("compute_store", 8, ChannelKind::Fifo);
+            b.task("load_element", load_ii, load_ii + 16, vec![], vec![lc]);
+            b.task(
+                "compute_diff_conv",
+                compute_ii,
+                compute_ii + 32,
+                vec![lc],
+                vec![cs],
+            );
+            b.task("store_contrib", store_ii, store_ii + 8, vec![cs], vec![]);
+            let net = b.build(elements)?;
+            let report = simulate(&net)?;
+            Ok(ShardCycleReport {
+                shard: shard.index(),
+                elements: shard.num_elements(),
+                makespan_cycles: report.makespan,
+                observed_ii: report.observed_ii(elements),
+                bottleneck_ii: net.bottleneck_ii(),
+                load_ii,
+                compute_ii,
+                store_ii,
+            })
         })
-    }
-
-    /// Like [`DataflowEmulatedBackend::with_plan`], but additionally
-    /// routes the plan's memory streams onto `system`'s banks under
-    /// `assignment` and runs the banked DES. The banked emulation is a
-    /// scheduling overlay only — `assemble_rhs` is byte-identical to
-    /// the unbanked backend (pinned by test).
-    ///
-    /// # Errors
-    ///
-    /// [`SolverError::Mesh`] if a network fails to simulate, or if
-    /// `assignment` does not cover the plan's streams.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `geometry` does not cover the plan's mesh.
-    pub fn with_banking(
-        plan: Arc<ShardPlan>,
-        mesh: &HexMesh,
-        geometry: &GeometryCache,
-        system: &MemorySystem,
-        assignment: &BankAssignment,
-    ) -> Result<DataflowEmulatedBackend, SolverError> {
-        let mut backend = DataflowEmulatedBackend::with_plan(plan, mesh, geometry)?;
-        let npe = mesh.nodes_per_element() as u64;
-        let banked = emulate_plan_banked(backend.plan(), npe, system, assignment).map_err(|e| {
-            SolverError::Mesh(fem_mesh::MeshError::InvalidParameter(format!(
-                "banked emulation failed: {e}"
-            )))
-        })?;
-        backend.banked = Some(banked);
-        Ok(backend)
-    }
-
-    /// The banked emulation, when constructed via
-    /// [`DataflowEmulatedBackend::with_banking`].
-    pub fn banked_report(&self) -> Option<&BankedEmulation> {
-        self.banked.as_ref()
-    }
-
-    /// The underlying shard plan.
-    pub fn plan(&self) -> &ShardPlan {
-        self.inner.plan()
-    }
-}
-
-/// Routes one shard's element stream through the 3-task pipeline DES.
-fn emulate_shard(
-    shard: &fem_mesh::partition::Shard,
-    npe: u64,
-) -> Result<ShardCycleReport, hls_dataflow::DataflowError> {
-    let elements = shard.num_elements() as u64;
-    let bytes_in_pe = (shard.bytes_in() as u64).div_ceil(elements.max(1));
-    let bytes_out_pe = (shard.bytes_out() as u64).div_ceil(elements.max(1));
-    let load_ii = bytes_in_pe.div_ceil(AXI_BYTES_PER_CYCLE).max(1);
-    // The fused Diffusion ⊕ Convection module retires one element node per
-    // cycle once pipelined. Under the sum-factorized schedule each output
-    // node needs 5 · 3n MACs — three 1D sweeps of n MACs per variable —
-    // which an unrolled 3n-wide MAC tree (n ≤ 5 on the p ≤ 4 ladder)
-    // retires in one II=1 issue per node, so the element-level II stays
-    // npe cycles. The full-matrix schedule would need 3·npe MACs per node
-    // (n² wider) — the HLS quote assumes the factored hot path.
-    let compute_ii = npe.max(1);
-    let store_ii = bytes_out_pe.div_ceil(AXI_BYTES_PER_CYCLE).max(1);
-
-    let mut b = NetworkBuilder::new();
-    let lc = b.channel("load_compute", 8, ChannelKind::Fifo);
-    let cs = b.channel("compute_store", 8, ChannelKind::Fifo);
-    b.task("load_element", load_ii, load_ii + 16, vec![], vec![lc]);
-    b.task(
-        "compute_diff_conv",
-        compute_ii,
-        compute_ii + 32,
-        vec![lc],
-        vec![cs],
-    );
-    b.task("store_contrib", store_ii, store_ii + 8, vec![cs], vec![]);
-    let net = b.build(elements)?;
-    let report = simulate(&net)?;
-    Ok(ShardCycleReport {
-        shard: shard.index(),
-        elements: shard.num_elements(),
-        makespan_cycles: report.makespan,
-        observed_ii: report.observed_ii(elements),
-        bottleneck_ii: net.bottleneck_ii(),
-        load_ii,
-        compute_ii,
-        store_ii,
-    })
-}
-
-impl ExecutionBackend for DataflowEmulatedBackend {
-    fn name(&self) -> String {
-        format!(
-            "dataflow-emulated({}, {})",
-            self.inner.plan().num_shards(),
-            self.inner.plan().strategy()
-        )
-    }
-
-    fn capabilities(&self) -> BackendCapabilities {
-        BackendCapabilities {
-            emulates_accelerator: true,
-            ..self.inner.capabilities()
-        }
-    }
-
-    fn assemble_rhs(
-        &mut self,
-        ctx: &AssemblyContext<'_>,
-        conserved: &Conserved,
-        prim: &Primitives,
-        out: &mut Conserved,
-        profiler: Option<&mut PhaseProfiler>,
-    ) {
-        self.inner.assemble_rhs(ctx, conserved, prim, out, profiler);
-    }
-
-    fn shard_reports(&self) -> &[ShardCycleReport] {
-        &self.reports
-    }
-
-    fn shard_plan(&self) -> Option<&ShardPlan> {
-        Some(self.inner.plan())
-    }
+        .collect()
 }
 
 // ------------------------------------------------------ banked emulation
@@ -918,17 +462,16 @@ pub struct BankedEmulation {
     /// degenerate mode, which runs the flat pre-banking networks).
     pub bank_stats: Vec<hls_dataflow::BankStats>,
     /// Per-shard flat reports — populated only in the 1-bank degenerate
-    /// mode, where they are cycle-for-cycle identical to the unbanked
-    /// backend's [`ShardCycleReport`]s (pinned by test).
+    /// mode, where they are exactly [`emulate_plan`]'s.
     pub shard_reports: Vec<ShardCycleReport>,
 }
 
 /// Runs the banked dataflow emulation of a whole plan.
 ///
-/// With a 1-bank `system` (the degenerate flat model) this builds
-/// exactly the pre-banking per-shard Load → Compute → Store chains — no
-/// bank tags, no port arbitration — so the result reproduces the flat
-/// `SimulationReport` cycle-for-cycle. With a multi-bank system each
+/// With a 1-bank `system` (the degenerate flat model) this is
+/// [`emulate_plan`] — the per-shard Load → Compute → Store chains with no
+/// bank tags and no port arbitration — so the flat quote and the 1-bank
+/// row come from one code path. With a multi-bank system each
 /// shard becomes one pipeline of [`STREAMS_PER_SHARD`] banked endpoints
 /// (gather and geometry producers feeding the compute task, scatter
 /// tasks draining it) in a single network whose banked channels share
@@ -937,16 +480,16 @@ pub struct BankedEmulation {
 ///
 /// # Errors
 ///
-/// [`hls_dataflow::DataflowError`] if a network fails to validate or
-/// simulate (an `assignment` that does not cover the plan's streams
-/// surfaces as an unknown-bank panic upstream; callers build assignments
-/// from [`shard_streams`]).
+/// [`DataflowError`] if a network fails to validate or simulate (an
+/// `assignment` that does not cover the plan's streams surfaces as an
+/// unknown-bank panic upstream; callers build assignments from
+/// [`shard_streams`]).
 pub fn emulate_plan_banked(
     plan: &ShardPlan,
     npe: u64,
-    system: &fpga_platform::MemorySystem,
-    assignment: &fpga_platform::BankAssignment,
-) -> Result<BankedEmulation, hls_dataflow::DataflowError> {
+    system: &MemorySystem,
+    assignment: &BankAssignment,
+) -> Result<BankedEmulation, DataflowError> {
     let streams = shard_streams(plan, npe);
     assert_eq!(
         assignment.bank_of.len(),
@@ -954,10 +497,7 @@ pub fn emulate_plan_banked(
         "assignment must cover every stream of the plan"
     );
     if system.num_banks() == 1 {
-        let mut shard_reports = Vec::with_capacity(plan.num_shards());
-        for shard in plan.shards() {
-            shard_reports.push(emulate_shard(shard, npe)?);
-        }
+        let shard_reports = emulate_plan(plan, npe)?;
         let makespan_cycles = shard_reports
             .iter()
             .map(|r| r.makespan_cycles)
@@ -1049,6 +589,29 @@ pub fn emulate_plan_banked(
 }
 
 // --------------------------------------------------------- multi-device
+
+/// One frontier contribution: element residual values destined for a
+/// node touched by several devices, forwarded to the node's owner through
+/// the halo exchange. The source element id is carried so the owner can
+/// restore ascending global element order before applying.
+#[derive(Debug, Clone)]
+struct HaloContribution {
+    node: u32,
+    element: u32,
+    vals: [f64; NUM_VARS],
+}
+
+/// Cheap identity proxy for a geometry cache: element count plus the
+/// first and last quadrature weights' raw bits.
+fn geometry_fingerprint(geometry: &GeometryCache) -> (usize, u64, u64) {
+    let ne = geometry.num_elements();
+    if ne == 0 {
+        return (0, 0, 0);
+    }
+    let first = geometry.det_w(0).first().map_or(0, |v| v.to_bits());
+    let last = geometry.det_w(ne - 1).last().map_or(0, |v| v.to_bits());
+    (ne, first, last)
+}
 
 /// Clock the inter-device link DES is normalized to: link seconds from
 /// [`fpga_platform::pcie`] convert to cycles at the accelerator's
@@ -1207,6 +770,10 @@ struct DeviceState {
 #[derive(Debug)]
 pub struct MultiDeviceBackend {
     plan: Arc<ShardPlan>,
+    /// O(1) fingerprint of the cache the shard plan was built against,
+    /// re-checked on every assembly so a backend installed against the
+    /// wrong mesh/geometry fails loudly instead of applying a foreign
+    /// ownership plan.
     geometry_fingerprint: (usize, u64, u64),
     devices: Vec<DeviceState>,
     shared: Vec<DeviceShared>,
@@ -1359,7 +926,7 @@ fn emulate_exchange(
     mesh: &HexMesh,
     frontier_elements: &[Vec<u32>],
     records: &[Vec<u64>],
-) -> Result<Vec<DeviceExchangeReport>, hls_dataflow::DataflowError> {
+) -> Result<Vec<DeviceExchangeReport>, DataflowError> {
     let npe = mesh.nodes_per_element() as u64;
     let nd = plan.num_shards();
     let mut b = NetworkBuilder::new();
@@ -1621,8 +1188,7 @@ fn run_device(
         boxes[sender as usize].recycle.lock().unwrap().push(buf);
     }
     // The (node, element) key is total (a node appears at most once per
-    // element), so the unstable sort is deterministic and equal to the
-    // sharded backend's stable sort.
+    // element), so the unstable sort is deterministic.
     dev.pending
         .sort_unstable_by_key(|rec| (rec.node, rec.element));
     for rec in &dev.pending {
@@ -1649,13 +1215,8 @@ impl ExecutionBackend for MultiDeviceBackend {
         )
     }
 
-    fn capabilities(&self) -> BackendCapabilities {
-        BackendCapabilities {
-            shards: self.plan.num_shards(),
-            parallel: true,
-            deterministic_across_widths: true,
-            emulates_accelerator: true,
-        }
+    fn parallel(&self) -> bool {
+        true
     }
 
     fn shard_plan(&self) -> Option<&ShardPlan> {
@@ -1685,6 +1246,9 @@ impl ExecutionBackend for MultiDeviceBackend {
             ctx.mesh.num_elements(),
             "shard plan does not cover the mesh"
         );
+        // det_w sampling cannot tell uniform meshes apart, so the node
+        // count (which separates e.g. periodic from walled boxes of the
+        // same size) is checked alongside the geometry fingerprint.
         assert_eq!(
             self.plan.num_nodes(),
             ctx.mesh.num_nodes(),
@@ -1728,14 +1292,14 @@ impl ExecutionBackend for MultiDeviceBackend {
 }
 
 /// Builds a boxed built-in backend for `select` against a mesh/geometry
-/// pair. [`crate::driver::Simulation::set_backend`] calls this for the
-/// sharded selections; `Reference` selections it routes through
-/// `set_assembly_strategy` instead, which reuses the driver's cached
-/// element coloring (this constructor builds a fresh one every call).
+/// pair. The driver does not call this: it routes `Reference`
+/// selections through `set_assembly_strategy`, which reuses the cached
+/// element coloring (this constructor builds a fresh one every call), and
+/// builds `MultiDevice` on the context's memoized shard plan.
 ///
 /// # Errors
 ///
-/// Propagates shard-plan and emulation failures.
+/// Propagates shard-plan and link-emulation failures.
 pub fn build_backend(
     select: BackendSelect,
     mesh: &HexMesh,
@@ -1743,12 +1307,6 @@ pub fn build_backend(
 ) -> Result<Box<dyn ExecutionBackend>, SolverError> {
     Ok(match select {
         BackendSelect::Reference(strategy) => Box::new(ReferenceBackend::new(strategy, mesh)),
-        BackendSelect::Sharded { shards, strategy } => {
-            Box::new(ShardedBackend::new(mesh, geometry, shards, strategy)?)
-        }
-        BackendSelect::DataflowEmulated { shards, strategy } => Box::new(
-            DataflowEmulatedBackend::new(mesh, geometry, shards, strategy)?,
-        ),
         BackendSelect::MultiDevice { devices, strategy } => {
             Box::new(MultiDeviceBackend::new(mesh, geometry, devices, strategy)?)
         }
@@ -1781,22 +1339,6 @@ mod tests {
             "reference(serial)"
         );
         assert_eq!(
-            BackendSelect::Sharded {
-                shards: 4,
-                strategy: PartitionStrategy::Contiguous
-            }
-            .to_string(),
-            "sharded(4, contiguous)"
-        );
-        assert_eq!(
-            BackendSelect::DataflowEmulated {
-                shards: 2,
-                strategy: PartitionStrategy::Partitioned
-            }
-            .to_string(),
-            "dataflow-emulated(2, partitioned)"
-        );
-        assert_eq!(
             BackendSelect::MultiDevice {
                 devices: 4,
                 strategy: PartitionStrategy::Contiguous
@@ -1806,6 +1348,9 @@ mod tests {
         );
     }
 
+    /// The multi-device (sharded) trajectory on `tgv_box(6)` is bitwise
+    /// the serial one at every device count, up to one device per
+    /// element.
     #[test]
     fn sharded_trajectory_is_bitwise_identical_across_shard_counts() {
         let cfg = TgvConfig::standard();
@@ -1820,81 +1365,39 @@ mod tests {
             PartitionStrategy::Contiguous,
             PartitionStrategy::Partitioned,
         ] {
-            for shards in [1usize, 2, 3, 5, 64] {
+            for devices in [1usize, 2, 3, 5, 64] {
                 let mesh = BoxMeshBuilder::tgv_box(6).build().unwrap();
                 let initial = cfg.initial_state(&mesh);
                 let mut sim = Simulation::new(mesh, cfg.gas(), initial).unwrap();
-                sim.set_backend(BackendSelect::Sharded { shards, strategy })
+                sim.set_backend(BackendSelect::MultiDevice { devices, strategy })
                     .unwrap();
-                let caps = sim.backend().capabilities();
-                assert!(caps.deterministic_across_widths);
-                assert_eq!(caps.shards, shards.min(6 * 6 * 6));
+                let plan = sim.backend().shard_plan().expect("multi-device plan");
+                assert_eq!(plan.num_shards(), devices);
                 sim.advance(4, dt).unwrap();
                 assert_eq!(
                     bits(sim.conserved()),
                     ref_bits,
-                    "shards={shards} strategy={strategy} diverged from the serial reference"
+                    "devices={devices} strategy={strategy} diverged from the serial reference"
                 );
             }
         }
     }
 
     #[test]
-    fn dataflow_emulated_matches_sharded_and_attaches_reports() {
-        let cfg = TgvConfig::standard();
+    fn emulate_plan_reports_respect_the_pipeline_bounds() {
         let mesh = BoxMeshBuilder::tgv_box(5).build().unwrap();
-        let initial = cfg.initial_state(&mesh);
-        let mut sim = Simulation::new(mesh, cfg.gas(), initial).unwrap();
-        sim.set_backend(BackendSelect::DataflowEmulated {
-            shards: 4,
-            strategy: PartitionStrategy::Contiguous,
-        })
-        .unwrap();
-        assert!(sim.backend().capabilities().emulates_accelerator);
-        let reports = sim.backend().shard_reports();
+        let plan =
+            ShardPlan::with_strategy(&mesh, 4, usize::MAX, PartitionStrategy::Contiguous).unwrap();
+        let reports = emulate_plan(&plan, mesh.nodes_per_element() as u64).unwrap();
         assert_eq!(reports.len(), 4);
         let ne: usize = reports.iter().map(|r| r.elements).sum();
         assert_eq!(ne, 5 * 5 * 5);
-        for r in reports {
+        for (g, r) in reports.iter().enumerate() {
+            assert_eq!(r.shard, g);
             assert!(r.makespan_cycles > 0);
             assert!(r.observed_ii >= r.bottleneck_ii as f64 - 0.5, "{r:?}");
             assert_eq!(r.bottleneck_ii, r.load_ii.max(r.compute_ii).max(r.store_ii));
         }
-
-        let dt = sim.suggest_dt(0.4);
-        sim.advance(3, dt).unwrap();
-
-        let mesh = BoxMeshBuilder::tgv_box(5).build().unwrap();
-        let initial = cfg.initial_state(&mesh);
-        let mut sharded = Simulation::new(mesh, cfg.gas(), initial).unwrap();
-        sharded
-            .set_backend(BackendSelect::Sharded {
-                shards: 4,
-                strategy: PartitionStrategy::Contiguous,
-            })
-            .unwrap();
-        sharded.advance(3, dt).unwrap();
-        assert_eq!(bits(sim.conserved()), bits(sharded.conserved()));
-    }
-
-    #[test]
-    fn sharded_profiling_records_phases() {
-        let cfg = TgvConfig::standard();
-        let mesh = BoxMeshBuilder::tgv_box(4).build().unwrap();
-        let initial = cfg.initial_state(&mesh);
-        let mut sim = Simulation::new(mesh, cfg.gas(), initial).unwrap();
-        sim.set_backend(BackendSelect::Sharded {
-            shards: 3,
-            strategy: PartitionStrategy::Partitioned,
-        })
-        .unwrap();
-        sim.set_profiling(true);
-        let dt = sim.suggest_dt(0.4);
-        sim.advance(2, dt).unwrap();
-        let p = sim.profiler();
-        assert!(p.total(Phase::RkConvection) > std::time::Duration::ZERO);
-        assert!(p.total(Phase::RkDiffusion) > std::time::Duration::ZERO);
-        assert!(p.total(Phase::RkOther) > std::time::Duration::ZERO);
     }
 
     #[test]
@@ -1902,11 +1405,11 @@ mod tests {
         let mesh = BoxMeshBuilder::tgv_box(4).build().unwrap();
         let serial = ReferenceBackend::new(AssemblyStrategy::Serial, &mesh);
         assert!(serial.coloring_stats().is_none());
-        assert!(!serial.capabilities().parallel);
+        assert!(!serial.parallel());
         let colored = ReferenceBackend::new(AssemblyStrategy::Colored, &mesh);
         let stats = colored.coloring_stats().expect("coloring built");
         assert_eq!(stats.num_elements, 64);
-        assert!(colored.capabilities().deterministic_across_widths);
+        assert!(colored.parallel());
     }
 
     #[test]
@@ -1918,20 +1421,16 @@ mod tests {
             PartitionStrategy::Contiguous,
             PartitionStrategy::Partitioned,
         ] {
-            assert!(ShardedBackend::new(&mesh, &geometry, 0, strategy).is_err());
-            assert!(DataflowEmulatedBackend::new(&mesh, &geometry, 0, strategy).is_err());
             assert!(MultiDeviceBackend::new(&mesh, &geometry, 0, strategy).is_err());
         }
     }
 
     #[test]
     fn one_bank_banked_emulation_reproduces_flat_reports() {
-        // The degenerate 1-bank system must reproduce the pre-banking
-        // flat emulation cycle-for-cycle at every shard count and both
+        // The degenerate 1-bank system must reproduce the flat
+        // emulation cycle-for-cycle at every shard count and both
         // strategies.
         let mesh = BoxMeshBuilder::tgv_box(6).build().unwrap();
-        let basis = HexBasis::new(1).unwrap();
-        let geometry = GeometryCache::build(&mesh, &basis).unwrap();
         let npe = mesh.nodes_per_element() as u64;
         let flat_sys = MemorySystem::u200_flat();
         for strategy in [
@@ -1939,20 +1438,15 @@ mod tests {
             PartitionStrategy::Partitioned,
         ] {
             for shards in [1usize, 2, 4, 8] {
-                let plain =
-                    DataflowEmulatedBackend::new(&mesh, &geometry, shards, strategy).unwrap();
-                let streams = shard_streams(plain.plan(), npe);
+                let plan = ShardPlan::with_strategy(&mesh, shards, usize::MAX, strategy).unwrap();
+                let flat = emulate_plan(&plan, npe).unwrap();
+                let streams = shard_streams(&plan, npe);
                 let a = BankAssignment::round_robin(&streams, &flat_sys);
-                let banked = emulate_plan_banked(plain.plan(), npe, &flat_sys, &a).unwrap();
-                assert_eq!(banked.shard_reports, plain.shard_reports());
+                let banked = emulate_plan_banked(&plan, npe, &flat_sys, &a).unwrap();
+                assert_eq!(banked.shard_reports, flat);
                 assert_eq!(
                     banked.makespan_cycles,
-                    plain
-                        .shard_reports()
-                        .iter()
-                        .map(|r| r.makespan_cycles)
-                        .max()
-                        .unwrap()
+                    flat.iter().map(|r| r.makespan_cycles).max().unwrap()
                 );
                 assert!(banked.bank_stats.is_empty());
             }
@@ -2010,45 +1504,6 @@ mod tests {
     }
 
     #[test]
-    fn banking_overlay_leaves_the_numerics_bitwise_untouched() {
-        // The banked backend must be a scheduling overlay only: the
-        // trajectory is bit-identical to the plain dataflow backend.
-        let cfg = TgvConfig::standard();
-        let mesh = BoxMeshBuilder::tgv_box(6).build().unwrap();
-        let initial = cfg.initial_state(&mesh);
-        let mut plain = Simulation::new(mesh, cfg.gas(), initial).unwrap();
-        plain
-            .set_backend(BackendSelect::DataflowEmulated {
-                shards: 4,
-                strategy: PartitionStrategy::Contiguous,
-            })
-            .unwrap();
-        let dt = plain.suggest_dt(0.4);
-        plain.advance(3, dt).unwrap();
-
-        let mesh = BoxMeshBuilder::tgv_box(6).build().unwrap();
-        let basis = HexBasis::new(1).unwrap();
-        let geometry = GeometryCache::build(&mesh, &basis).unwrap();
-        let plan = Arc::new(
-            ShardPlan::with_strategy(&mesh, 4, usize::MAX, PartitionStrategy::Contiguous).unwrap(),
-        );
-        let npe = mesh.nodes_per_element() as u64;
-        let hbm = MemorySystem::u280_hbm2();
-        let streams = shard_streams(&plan, npe);
-        let greedy = BankAssignment::greedy(&streams, &hbm);
-        let backend =
-            DataflowEmulatedBackend::with_banking(plan, &mesh, &geometry, &hbm, &greedy).unwrap();
-        assert!(backend.banked_report().is_some());
-        assert_eq!(backend.banked_report().unwrap().system, "u280-hbm2");
-
-        let initial = cfg.initial_state(&mesh);
-        let mut banked = Simulation::new(mesh, cfg.gas(), initial).unwrap();
-        banked.set_custom_backend(Box::new(backend));
-        banked.advance(3, dt).unwrap();
-        assert_eq!(bits(banked.conserved()), bits(plain.conserved()));
-    }
-
-    #[test]
     fn multidevice_trajectory_is_bitwise_identical_per_registry_scenario() {
         // The tentpole guarantee: the decentralized overlapped exchange
         // stays bitwise identical to the serial reference on every
@@ -2062,13 +1517,11 @@ mod tests {
                 PartitionStrategy::Contiguous,
                 PartitionStrategy::Partitioned,
             ] {
-                for devices in [1usize, 2, 3, 4, 8] {
+                for devices in [1usize, 2, 3, 4, 7, 8] {
                     let mut sim = scenario.simulation(4).unwrap();
                     sim.set_backend(BackendSelect::MultiDevice { devices, strategy })
                         .unwrap();
-                    let caps = sim.backend().capabilities();
-                    assert!(caps.deterministic_across_widths);
-                    assert!(caps.parallel);
+                    assert!(sim.backend().parallel());
                     sim.advance(2, dt).unwrap();
                     assert_eq!(
                         bits(sim.conserved()),
@@ -2092,7 +1545,6 @@ mod tests {
             strategy: PartitionStrategy::Contiguous,
         })
         .unwrap();
-        assert!(sim.backend().capabilities().emulates_accelerator);
         assert_eq!(sim.backend().name(), "multidevice(4, contiguous)");
 
         let reports = sim.exchange_reports();
@@ -2179,41 +1631,15 @@ mod tests {
         assert!(p.total(Phase::RkOther) > std::time::Duration::ZERO);
     }
 
-    #[test]
-    fn partitioned_trajectory_is_bitwise_identical_per_registry_scenario() {
-        // The tentpole guarantee, end to end: a graph-partitioned sharded
-        // advance stays bitwise identical to the serial reference on
-        // every registry scenario.
-        for scenario in Scenario::registry() {
-            let mut reference = scenario.simulation(4).unwrap();
-            let dt = reference.suggest_dt(0.3);
-            reference.advance(2, dt).unwrap();
-            for shards in [4usize, 7] {
-                let mut sim = scenario.simulation(4).unwrap();
-                sim.set_backend(BackendSelect::Sharded {
-                    shards,
-                    strategy: PartitionStrategy::Partitioned,
-                })
-                .unwrap();
-                sim.advance(2, dt).unwrap();
-                assert_eq!(
-                    bits(sim.conserved()),
-                    bits(reference.conserved()),
-                    "{} shards={shards} partitioned diverged",
-                    scenario.name()
-                );
-            }
-        }
-    }
-
     proptest! {
-        /// For every scenario in the registry, the sharded RHS (the full
-        /// composed RKU → RKL → mass → boundary pipeline) matches the
-        /// serial reference at ≤ 1e-12 relative — and in fact bitwise —
-        /// for randomized shard counts under both partition strategies.
+        /// For every scenario in the registry, the multi-device (sharded)
+        /// RHS (the full composed RKU → RKL → mass → boundary pipeline)
+        /// matches the serial reference at ≤ 1e-12 relative — and in fact
+        /// bitwise — for randomized device counts under both partition
+        /// strategies.
         #[test]
         fn prop_sharded_rhs_matches_reference_on_every_scenario(
-            shards in 1usize..17,
+            devices in 1usize..17,
             edge in 3usize..5,
             partitioned in proptest::bool::ANY,
         ) {
@@ -2225,7 +1651,7 @@ mod tests {
             for scenario in Scenario::registry() {
                 let mut reference = scenario.simulation(edge).unwrap();
                 let mut sharded = scenario.simulation(edge).unwrap();
-                sharded.set_backend(BackendSelect::Sharded { shards, strategy }).unwrap();
+                sharded.set_backend(BackendSelect::MultiDevice { devices, strategy }).unwrap();
                 let a = reference.eval_rhs();
                 let b = sharded.eval_rhs();
                 let fa = flat(&a);
@@ -2233,7 +1659,7 @@ mod tests {
                 for (x, y) in fa.iter().zip(&flat(&b)) {
                     prop_assert!(
                         (x - y).abs() <= 1e-12 * scale,
-                        "{} shards={} {}: {} vs {}", scenario.name(), shards, strategy, x, y
+                        "{} devices={} {}: {} vs {}", scenario.name(), devices, strategy, x, y
                     );
                 }
                 prop_assert_eq!(bits(&a), bits(&b));

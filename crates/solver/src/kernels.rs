@@ -75,7 +75,7 @@
 //! cross-node or cross-element accumulation order leaks into the kernel,
 //! so for a given path the element residual is a pure function of the
 //! element data — which is what lets every backend (serial, chunked,
-//! colored, sharded, multi-device) reproduce the serial answer bitwise as
+//! colored, multi-device) reproduce the serial answer bitwise as
 //! long as its *scatter* order is canonical. The sum-factored path is
 //! bit-identical to the pre-knob kernel (it *is* that loop), so all golden
 //! traces and cross-backend bitwise guarantees are unchanged by default.

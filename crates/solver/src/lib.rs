@@ -16,9 +16,11 @@
 //!   convective/viscous fluxes, weak divergence (sum-factored or
 //!   full-matrix, selected by [`KernelPath`]), scatter.
 //! * [`driver`] — the RK4 time loop gluing RKL and RKU together.
-//! * [`engine`] — the shard-parallel execution engine: the pluggable
-//!   [`ExecutionBackend`] trait with reference, sharded (bitwise stable
-//!   across shard counts), and dataflow-emulated implementations.
+//! * [`engine`] — the execution engine: the pluggable
+//!   [`ExecutionBackend`] trait with reference and multi-device (bitwise
+//!   identical to the serial loop at every device count)
+//!   implementations, plus the plan-level accelerator DES
+//!   ([`engine::emulate_plan`], [`engine::emulate_plan_banked`]).
 //! * [`parallel`] — multi-core residual assembly: chunked partials or
 //!   color-parallel in-place scatter ([`AssemblyStrategy`]).
 //! * [`tgv`] — the Taylor-Green Vortex workload of the evaluation.
@@ -75,9 +77,8 @@ pub mod tgv;
 pub use diagnostics::FlowDiagnostics;
 pub use driver::{Simulation, SimulationBuilder, SolverCore};
 pub use engine::{
-    AssemblyContext, BackendCapabilities, BackendSelect, DataflowEmulatedBackend,
-    DeviceExchangeReport, DevicePhaseSeconds, ExecutionBackend, MultiDeviceBackend,
-    PartitionStrategy, ReferenceBackend, ShardCycleReport, ShardedBackend,
+    AssemblyContext, BackendSelect, DeviceExchangeReport, DevicePhaseSeconds, ExecutionBackend,
+    MultiDeviceBackend, PartitionStrategy, ReferenceBackend, ShardCycleReport,
 };
 pub use ensemble::{EnsembleDriver, EnsembleReport, MemberResult};
 pub use gas::GasModel;

@@ -299,41 +299,6 @@ pub fn assemble_rhs_chunked_into(
     }
 }
 
-/// Assembles the RKL residual over `chunks` parallel element ranges.
-///
-/// Convenience wrapper around [`assemble_rhs_chunked_into`] that
-/// allocates the output. Deterministic for a fixed `chunks`; matches the
-/// serial loop to rounding (see module docs).
-///
-/// # Panics
-///
-/// Panics if state sizes disagree with the mesh, the geometry cache does
-/// not cover the mesh, or `chunks == 0`.
-pub fn assemble_rhs_parallel(
-    mesh: &HexMesh,
-    basis: &HexBasis,
-    gas: &GasModel,
-    geometry: &GeometryCache,
-    conserved: &Conserved,
-    prim: &Primitives,
-    chunks: usize,
-) -> Conserved {
-    let mut out = Conserved::zeros(mesh.num_nodes());
-    assemble_rhs_chunked_into(
-        mesh,
-        basis,
-        gas,
-        geometry,
-        conserved,
-        prim,
-        chunks,
-        KernelPath::SumFactored,
-        &mut out,
-        None,
-    );
-    out
-}
-
 /// Raw pointers to the five RHS field arrays, shared across the threads
 /// of one parallel scatter sweep.
 ///
@@ -691,6 +656,31 @@ mod tests {
     use fem_mesh::generator::BoxMeshBuilder;
     use proptest::prelude::*;
 
+    fn assemble_chunked(
+        mesh: &HexMesh,
+        basis: &HexBasis,
+        gas: &GasModel,
+        geometry: &GeometryCache,
+        conserved: &Conserved,
+        prim: &Primitives,
+        chunks: usize,
+    ) -> Conserved {
+        let mut out = Conserved::zeros(mesh.num_nodes());
+        assemble_rhs_chunked_into(
+            mesh,
+            basis,
+            gas,
+            geometry,
+            conserved,
+            prim,
+            chunks,
+            KernelPath::SumFactored,
+            &mut out,
+            None,
+        );
+        out
+    }
+
     fn serial_reference(
         mesh: &HexMesh,
         basis: &HexBasis,
@@ -699,7 +689,7 @@ mod tests {
         conserved: &Conserved,
         prim: &Primitives,
     ) -> Conserved {
-        assemble_rhs_parallel(mesh, basis, gas, geometry, conserved, prim, 1)
+        assemble_chunked(mesh, basis, gas, geometry, conserved, prim, 1)
     }
 
     fn bits(c: &Conserved) -> Vec<u64> {
@@ -742,8 +732,7 @@ mod tests {
         let ref_flat = flat(&reference);
         let scale = ref_flat.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
         for chunks in [2usize, 3, 7, 16, 64] {
-            let parallel =
-                assemble_rhs_parallel(&mesh, &basis, &gas, &geometry, &state, &prim, chunks);
+            let parallel = assemble_chunked(&mesh, &basis, &gas, &geometry, &state, &prim, chunks);
             // Agrees with serial to rounding (grouping differs across
             // chunk boundaries).
             let par_flat = flat(&parallel);
@@ -755,8 +744,7 @@ mod tests {
             }
             // Deterministic: rerunning with the same chunking is
             // bit-identical regardless of thread scheduling.
-            let again =
-                assemble_rhs_parallel(&mesh, &basis, &gas, &geometry, &state, &prim, chunks);
+            let again = assemble_chunked(&mesh, &basis, &gas, &geometry, &state, &prim, chunks);
             assert_eq!(
                 bits(&parallel),
                 bits(&again),
@@ -898,7 +886,7 @@ mod tests {
         let mut prim = Primitives::zeros(mesh.num_nodes());
         prim.update_from(&state, &gas);
         let geometry = GeometryCache::build(&mesh, &basis).unwrap();
-        let ours = assemble_rhs_parallel(&mesh, &basis, &gas, &geometry, &state, &prim, 4);
+        let ours = assemble_chunked(&mesh, &basis, &gas, &geometry, &state, &prim, 4);
         let staged = crate::kernels::NUM_VARS; // silence unused in docs
         assert_eq!(staged, 5);
         // Conservation: Σ residual = 0 per variable.
@@ -925,7 +913,7 @@ mod tests {
         let mut prim = Primitives::zeros(mesh.num_nodes());
         prim.update_from(&state, &gas);
         let geometry = GeometryCache::build(&mesh, &basis).unwrap();
-        assemble_rhs_parallel(&mesh, &basis, &gas, &geometry, &state, &prim, 0);
+        assemble_chunked(&mesh, &basis, &gas, &geometry, &state, &prim, 0);
     }
 
     proptest! {
@@ -956,9 +944,7 @@ mod tests {
             // period) cancel symmetric contributions to ~0.
             let scale = ref_flat.iter().fold(1.0f64, |m, &v| m.max(v.abs()));
 
-            let chunked = assemble_rhs_parallel(
-                &mesh, &basis, &gas, &geometry, &state, &prim, chunks,
-            );
+            let chunked = assemble_chunked(&mesh, &basis, &gas, &geometry, &state, &prim, chunks);
             for (a, b) in ref_flat.iter().zip(&flat(&chunked)) {
                 prop_assert!((a - b).abs() <= 1e-12 * scale, "chunked: {} vs {}", a, b);
             }

@@ -29,12 +29,10 @@ use std::sync::Arc;
 
 /// Declarative execution-backend selection.
 ///
-/// | `kind`               | `strategy`                              | count field                       |
-/// |----------------------|-----------------------------------------|-----------------------------------|
-/// | `reference`          | `serial` (default), `chunked`, `colored`| `shards` = chunk count (`chunked` only) |
-/// | `sharded`            | `contiguous` (default), `partitioned`   | `shards` (default 4)              |
-/// | `dataflow-emulated`  | `contiguous` (default), `partitioned`   | `shards` (default 4)              |
-/// | `multidevice`        | `contiguous` (default), `partitioned`   | `devices` (default 4)             |
+/// | `kind`        | `strategy`                              | count field                             |
+/// |---------------|-----------------------------------------|-----------------------------------------|
+/// | `reference`   | `serial` (default), `chunked`, `colored`| `shards` = chunk count (`chunked` only) |
+/// | `multidevice` | `contiguous` (default), `partitioned`   | `devices` (default 4)                   |
 ///
 /// Orthogonally to the family, `kernel` selects the weak-divergence
 /// contraction every backend dispatches: `sum-factored` (default — the
@@ -42,13 +40,11 @@ use std::sync::Arc;
 /// validation reference).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BackendSpec {
-    /// Backend family: `reference`, `sharded`, `dataflow-emulated`, or
-    /// `multidevice`.
+    /// Backend family: `reference` or `multidevice`.
     pub kind: String,
     /// Family-specific strategy name (see the table above).
     pub strategy: Option<String>,
-    /// Shard count (`sharded`/`dataflow-emulated`) or chunk count
-    /// (`reference` + `chunked`); meaningless combinations are rejected.
+    /// Chunk count (`reference` + `chunked` only); rejected elsewhere.
     pub shards: Option<usize>,
     /// Device count (`multidevice` only); rejected elsewhere.
     pub devices: Option<usize>,
@@ -116,16 +112,6 @@ impl BackendSpec {
                     "unknown reference strategy `{other}` (serial, chunked, colored)"
                 ))),
             },
-            "sharded" | "dataflow-emulated" => {
-                let strategy = self.partition_strategy()?;
-                self.reject_devices(&self.kind)?;
-                let shards = self.shards.unwrap_or(4);
-                Ok(if self.kind == "sharded" {
-                    BackendSelect::Sharded { shards, strategy }
-                } else {
-                    BackendSelect::DataflowEmulated { shards, strategy }
-                })
-            }
             "multidevice" => {
                 let strategy = self.partition_strategy()?;
                 self.reject_shards("multidevice (use `devices`)")?;
@@ -135,7 +121,7 @@ impl BackendSpec {
                 })
             }
             other => Err(SolverError::InvalidSpec(format!(
-                "unknown backend kind `{other}` (reference, sharded, dataflow-emulated, multidevice)"
+                "unknown backend kind `{other}` (reference, multidevice)"
             ))),
         }
     }
@@ -372,7 +358,7 @@ mod tests {
         #[test]
         fn prop_spec_built_matches_setter_built_bitwise(
             scenario_idx in 0usize..4,
-            backend_idx in 0usize..5,
+            backend_idx in 0usize..4,
             edge in 4usize..6,
             amp_scale in 1usize..4,
             full_matrix in proptest::bool::ANY,
@@ -393,17 +379,10 @@ mod tests {
                     kernel: kernel.clone(),
                 },
                 2 => BackendSpec {
-                    kind: "sharded".to_string(),
+                    kind: "multidevice".to_string(),
                     strategy: Some("contiguous".to_string()),
-                    shards: Some(2),
-                    devices: None,
-                    kernel: kernel.clone(),
-                },
-                3 => BackendSpec {
-                    kind: "sharded".to_string(),
-                    strategy: Some("partitioned".to_string()),
-                    shards: Some(3),
-                    devices: None,
+                    shards: None,
+                    devices: Some(2),
                     kernel: kernel.clone(),
                 },
                 _ => BackendSpec {
@@ -463,10 +442,10 @@ mod tests {
             backends: vec![
                 BackendSpec::reference_serial(),
                 BackendSpec {
-                    kind: "sharded".to_string(),
+                    kind: "multidevice".to_string(),
                     strategy: Some("partitioned".to_string()),
-                    shards: Some(2),
-                    devices: None,
+                    shards: None,
+                    devices: Some(2),
                     kernel: Some("full-matrix".to_string()),
                 },
             ],
@@ -518,13 +497,13 @@ mod tests {
         };
         assert!(bad.to_select().is_err(), "shards on multidevice must fail");
         let bad = BackendSpec {
-            kind: "sharded".to_string(),
-            strategy: None,
-            shards: None,
+            kind: "reference".to_string(),
+            strategy: Some("chunked".to_string()),
+            shards: Some(4),
             devices: Some(4),
             kernel: None,
         };
-        assert!(bad.to_select().is_err(), "devices on sharded must fail");
+        assert!(bad.to_select().is_err(), "devices on chunked must fail");
         let bad = BackendSpec {
             kernel: Some("tensor-core".to_string()),
             ..BackendSpec::reference_serial()
@@ -544,6 +523,32 @@ mod tests {
             matches!(sweep.expand(), Err(SolverError::InvalidSpec(_))),
             "expansion must reject an unknown kernel name"
         );
+    }
+
+    #[test]
+    fn removed_backend_kinds_fail_cleanly() {
+        // `sharded` and `dataflow-emulated` were folded into
+        // `multidevice`; old spec files must get a typed error naming the
+        // surviving kinds, never a panic.
+        for kind in ["sharded", "dataflow-emulated"] {
+            let json = format!(r#"{{"kind": "{kind}", "strategy": "partitioned", "shards": 4}}"#);
+            let spec: BackendSpec = serde_json::from_str(&json).unwrap();
+            let Err(SolverError::InvalidSpec(msg)) = spec.to_select() else {
+                panic!("`{kind}` must be rejected as an invalid spec");
+            };
+            assert!(msg.contains(kind), "{msg}");
+            assert!(msg.contains("(reference, multidevice)"), "{msg}");
+
+            let sweep: SweepSpec = serde_json::from_str(&format!(
+                r#"{{"name": "old", "scenarios": ["taylor-green-vortex"], "edges": [4],
+                    "steps": 1, "reynolds": [], "amplitudes": [], "backends": [{json}]}}"#
+            ))
+            .unwrap();
+            let Err(SolverError::InvalidSpec(msg)) = sweep.expand() else {
+                panic!("a sweep with `{kind}` must be rejected as an invalid spec");
+            };
+            assert!(msg.contains("(reference, multidevice)"), "{msg}");
+        }
     }
 
     #[test]
