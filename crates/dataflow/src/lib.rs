@@ -12,8 +12,12 @@
 //! * [`network`] — process-network description: tasks (II + latency per
 //!   token), channels (FIFO/PIPO, bounded capacity), design-rule checks
 //!   (SPSC, bypass detection, §III-B).
-//! * [`sim`] — the discrete-event engine: exact start/finish times,
-//!   stalls, channel occupancy, deadlock detection, optional trace.
+//! * [`sim`] — the event-driven discrete-event engine: exact
+//!   start/finish times, stalls, channel occupancy, deadlock detection,
+//!   optional trace. A task is re-examined only when one of its start
+//!   conditions may have changed: its II elapses, its last missing input
+//!   token matures, a slot of a full output channel frees, or a bank port
+//!   it waits on frees (see the [`sim`] module docs for the wake rule).
 //!
 //! # Memory-bank port conflicts
 //!
@@ -24,14 +28,17 @@
 //! HBM2 pseudo-channel). The conflict rule: when a task starts a token,
 //! it reserves the port of every distinct bank among its *banked output
 //! channels* for its full II (the burst issues back-to-back beats); a
-//! task cannot start while any port it needs is reserved. Same-cycle
-//! contenders are resolved in ascending task-declaration order — the
-//! same order the engine's fixed-point start loop already scans, so
-//! banked simulation stays fully deterministic: no randomness, no
-//! iteration over unordered containers, ties broken by a total order
-//! fixed at build time. A network with no banked channels takes none of
-//! these paths and reports byte-identical results to the pre-banking
-//! engine; per-bank reserved/stall/token counters appear in
+//! task cannot start while any port it needs is reserved. Each bank
+//! keeps its waiting tasks in index order; a freed port wakes the lowest
+//! waiter, and a waiter that cannot take it passes the wake to the next.
+//! Within a cycle the woken tasks are examined in ascending
+//! task-declaration order, in passes until a fixed point, so same-cycle
+//! contenders are resolved by declaration order and banked simulation
+//! stays fully deterministic: no randomness, no iteration over unordered
+//! containers, ties broken by a total order fixed at build time. A
+//! network with no banked channels takes none of these paths and reports
+//! byte-identical results to the pre-banking engine; per-bank
+//! reserved/stall/token counters appear in
 //! [`sim::SimulationReport::bank_stats`] otherwise.
 //! * [`analytic`] — closed-form steady-state model
 //!   (`makespan ≈ fill + N · max II`), cross-validated against the DES by
@@ -97,6 +104,30 @@ pub enum DataflowError {
     UnknownChannel(usize),
     /// The network has no tasks.
     Empty,
+    /// A bank assignment does not list exactly one bank per stream.
+    AssignmentLength {
+        /// Streams to place.
+        streams: usize,
+        /// Banks the assignment lists.
+        assigned: usize,
+    },
+    /// A bank assignment was made for a different bank count than the
+    /// memory system it is run on.
+    BankCountMismatch {
+        /// The assignment's bank count.
+        assignment: usize,
+        /// The memory system's bank count.
+        system: usize,
+    },
+    /// A stream is placed on a bank the memory system does not have.
+    UnknownBank {
+        /// Stream index.
+        stream: usize,
+        /// The bank it is placed on.
+        bank: usize,
+        /// Banks in the system.
+        banks: usize,
+    },
 }
 
 impl std::fmt::Display for DataflowError {
@@ -121,6 +152,22 @@ impl std::fmt::Display for DataflowError {
             ),
             DataflowError::UnknownChannel(id) => write!(f, "unknown channel id {id}"),
             DataflowError::Empty => write!(f, "network has no tasks"),
+            DataflowError::AssignmentLength { streams, assigned } => write!(
+                f,
+                "bank assignment lists {assigned} banks for {streams} streams"
+            ),
+            DataflowError::BankCountMismatch { assignment, system } => write!(
+                f,
+                "bank assignment is for {assignment} banks but the memory system has {system}"
+            ),
+            DataflowError::UnknownBank {
+                stream,
+                bank,
+                banks,
+            } => write!(
+                f,
+                "stream {stream} is placed on bank {bank} of a {banks}-bank system"
+            ),
         }
     }
 }

@@ -480,10 +480,12 @@ pub struct BankedEmulation {
 ///
 /// # Errors
 ///
-/// [`DataflowError`] if a network fails to validate or simulate (an
-/// `assignment` that does not cover the plan's streams surfaces as an
-/// unknown-bank panic upstream; callers build assignments from
-/// [`shard_streams`]).
+/// [`DataflowError::AssignmentLength`] if `assignment` does not list one
+/// bank per stream of [`shard_streams`],
+/// [`DataflowError::BankCountMismatch`] if it was made for another bank
+/// count than `system`'s, [`DataflowError::UnknownBank`] if it places a
+/// stream on a bank `system` does not have, or any [`DataflowError`] of
+/// validating or simulating the network.
 pub fn emulate_plan_banked(
     plan: &ShardPlan,
     npe: u64,
@@ -491,12 +493,32 @@ pub fn emulate_plan_banked(
     assignment: &BankAssignment,
 ) -> Result<BankedEmulation, DataflowError> {
     let streams = shard_streams(plan, npe);
-    assert_eq!(
-        assignment.bank_of.len(),
-        streams.len(),
-        "assignment must cover every stream of the plan"
-    );
-    if system.num_banks() == 1 {
+    if assignment.bank_of.len() != streams.len() {
+        return Err(DataflowError::AssignmentLength {
+            streams: streams.len(),
+            assigned: assignment.bank_of.len(),
+        });
+    }
+    let banks = system.num_banks();
+    if assignment.banks != banks {
+        return Err(DataflowError::BankCountMismatch {
+            assignment: assignment.banks,
+            system: banks,
+        });
+    }
+    if let Some((stream, &bank)) = assignment
+        .bank_of
+        .iter()
+        .enumerate()
+        .find(|&(_, &b)| b >= banks)
+    {
+        return Err(DataflowError::UnknownBank {
+            stream,
+            bank,
+            banks,
+        });
+    }
+    if banks == 1 {
         let shard_reports = emulate_plan(plan, npe)?;
         let makespan_cycles = shard_reports
             .iter()
@@ -1451,6 +1473,59 @@ mod tests {
                 assert!(banked.bank_stats.is_empty());
             }
         }
+    }
+
+    /// A 2-shard plan of a small TGV box and its round-robin HBM2
+    /// assignment, for the malformed-assignment tests.
+    fn small_plan_on_hbm() -> (ShardPlan, u64, MemorySystem, BankAssignment) {
+        let mesh = BoxMeshBuilder::tgv_box(4).build().unwrap();
+        let npe = mesh.nodes_per_element() as u64;
+        let plan =
+            ShardPlan::with_strategy(&mesh, 2, usize::MAX, PartitionStrategy::Contiguous).unwrap();
+        let hbm = MemorySystem::u280_hbm2();
+        let a = BankAssignment::round_robin(&shard_streams(&plan, npe), &hbm);
+        (plan, npe, hbm, a)
+    }
+
+    #[test]
+    fn assignment_of_the_wrong_length_is_an_error() {
+        let (plan, npe, hbm, mut a) = small_plan_on_hbm();
+        a.bank_of.pop();
+        assert_eq!(
+            emulate_plan_banked(&plan, npe, &hbm, &a),
+            Err(DataflowError::AssignmentLength {
+                streams: 2 * STREAMS_PER_SHARD,
+                assigned: 2 * STREAMS_PER_SHARD - 1,
+            })
+        );
+    }
+
+    #[test]
+    fn assignment_for_another_bank_count_is_an_error() {
+        let (plan, npe, hbm, _) = small_plan_on_hbm();
+        let ddr =
+            BankAssignment::round_robin(&shard_streams(&plan, npe), &MemorySystem::u200_ddr());
+        assert_eq!(
+            emulate_plan_banked(&plan, npe, &hbm, &ddr),
+            Err(DataflowError::BankCountMismatch {
+                assignment: 4,
+                system: 32,
+            })
+        );
+    }
+
+    #[test]
+    fn stream_on_an_unknown_bank_is_an_error() {
+        let (plan, npe, hbm, mut a) = small_plan_on_hbm();
+        a.bank_of[5] = 32;
+        assert_eq!(
+            emulate_plan_banked(&plan, npe, &hbm, &a),
+            Err(DataflowError::UnknownBank {
+                stream: 5,
+                bank: 32,
+                banks: 32,
+            })
+        );
     }
 
     #[test]
